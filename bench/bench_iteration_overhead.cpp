@@ -7,8 +7,9 @@
 // An iterative program with a near-empty map and reduce runs N rounds so
 // all measured time *is* framework overhead.  Columns cover the ablations
 // DESIGN.md calls out: serial / mock parallel / masterslave with affinity
-// scheduling on and off, and direct HTTP buckets vs shared-filesystem
-// buckets; the Hadoop row is the DES per-iteration latency.
+// scheduling on and off, direct HTTP buckets vs shared-filesystem
+// buckets, and 4 vs 8 vs 16 slaves; the Hadoop row is the DES
+// per-iteration latency.
 //
 // Usage: bench_iteration_overhead [rounds=30]
 #include <cstdio>
@@ -60,16 +61,16 @@ class NoopIterative : public MapReduce {
   }
 };
 
-/// Run under an in-process cluster with configurable scheduler knobs;
-/// returns seconds per round.
-double RunMasterSlave(int rounds, bool affinity, bool shared_files,
-                      bool speculation = true) {
+/// Run under an in-process cluster of `num_slaves` slaves with
+/// configurable scheduler knobs; returns seconds per round.
+double RunMasterSlave(int rounds, int num_slaves, bool affinity,
+                      bool shared_files, bool speculation = true) {
   NoopIterative program;
   program.rounds = rounds;
   if (!program.Init(Options()).ok()) return -1;
 
   ClusterLauncher::Config config;
-  config.num_slaves = 4;
+  config.num_slaves = num_slaves;
   config.master.enable_affinity = affinity;
   config.master.enable_speculation = speculation;
   std::string shared_dir;
@@ -256,7 +257,7 @@ int main(int argc, char** argv) {
   int64_t connects_before = reg.GetCounter("mrs.http.client.connects")->value();
   int64_t pool_hits_before = reg.GetCounter("mrs.http.pool.hits")->value();
   int64_t batches_before = reg.GetCounter("mrs.slave.batch_fetches")->value();
-  double ms_affinity = RunMasterSlave(rounds, true, false);
+  double ms_affinity = RunMasterSlave(rounds, 4, true, false);
   double connects =
       static_cast<double>(reg.GetCounter("mrs.http.client.connects")->value() -
                           connects_before);
@@ -264,12 +265,16 @@ int main(int argc, char** argv) {
       reg.GetCounter("mrs.http.pool.hits")->value() - pool_hits_before);
   double batches = static_cast<double>(
       reg.GetCounter("mrs.slave.batch_fetches")->value() - batches_before);
-  double ms_no_affinity = RunMasterSlave(rounds, false, false);
-  double ms_shared = RunMasterSlave(rounds, true, true);
+  double ms_no_affinity = RunMasterSlave(rounds, 4, false, false);
+  double ms_shared = RunMasterSlave(rounds, 4, true, true);
   // Speculation ablation: with no stragglers every task finishes under the
   // threshold, so the straggler scan should cost ~nothing — any gap
   // between these two columns is pure scheduler overhead.
-  double ms_spec_off = RunMasterSlave(rounds, true, false, false);
+  double ms_spec_off = RunMasterSlave(rounds, 4, true, false, false);
+  // Slave-count sweep: per-round overhead as the cluster widens and every
+  // server holds more keep-alive connections.
+  double ms_s8 = RunMasterSlave(rounds, 8, true, false);
+  double ms_s16 = RunMasterSlave(rounds, 16, true, false);
 
   // Observability kill switch (acceptance bar: <= 2% on this bench).  The
   // instrument cost is nanoseconds per task; end-to-end runs jitter by
@@ -280,7 +285,7 @@ int main(int argc, char** argv) {
   // actually performs to get the per-round cost.  A kill-switch
   // masterslave run is still reported for completeness.
   obs::SetMetricsEnabled(false);
-  double ms_no_metrics = RunMasterSlave(rounds, true, false);
+  double ms_no_metrics = RunMasterSlave(rounds, 4, true, false);
   obs::SetMetricsEnabled(true);
 
   double on_ns = -1, off_ns = -1;
@@ -351,6 +356,10 @@ int main(int argc, char** argv) {
         "fault-tolerant bucket path"},
        {"mrs masterslave (speculation off)", bench::Fmt("%.4f", ms_spec_off),
         "ablation: no straggler backups"},
+       {"mrs masterslave (8 slaves)", bench::Fmt("%.4f", ms_s8),
+        "slave-count sweep"},
+       {"mrs masterslave (16 slaves)", bench::Fmt("%.4f", ms_s16),
+        "slave-count sweep"},
        {"mrs masterslave (metrics off)", bench::Fmt("%.4f", ms_no_metrics),
         "obs kill switch"},
        {"metrics hot path", bench::Fmt("%.4f ns/op", delta_ns),
@@ -392,6 +401,8 @@ int main(int argc, char** argv) {
        {"masterslave_shared_files_s_per_iter", ms_shared},
        {"masterslave_speculation_on_s_per_iter", ms_affinity},
        {"masterslave_speculation_off_s_per_iter", ms_spec_off},
+       {"masterslave_s8_s_per_iter", ms_s8},
+       {"masterslave_s16_s_per_iter", ms_s16},
        {"masterslave_metrics_off_s_per_iter", ms_no_metrics},
        {"metrics_ns_per_op_on", on_ns},
        {"metrics_ns_per_op_off", off_ns},

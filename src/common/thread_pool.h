@@ -1,9 +1,9 @@
 // Work-stealing worker pool: the shared-memory data plane under
-// mrs::ThreadRunner.
+// mrs::ThreadRunner, and the only task pool in the runtime (the HTTP
+// server gives each connection its own thread instead, because its
+// handlers block).
 //
-// Unlike the fixed BlockingQueue pool in common/threadpool.h (one global
-// queue, used where FIFO fairness matters, e.g. the HTTP server), this
-// pool keeps one deque per worker: a worker pops its own deque from the
+// The pool keeps one deque per worker: a worker pops its own deque from the
 // back (LIFO, cache-warm) and, when empty, steals from the front of a
 // sibling's deque (FIFO, oldest-first — the classic Blumofe/Leiserson
 // discipline).  External submitters distribute round-robin; submissions

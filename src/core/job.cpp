@@ -124,12 +124,32 @@ Result<std::vector<KeyValue>> Job::Collect(const DataSetPtr& dataset) {
   }
   for (int split = 0; split < dataset->num_splits(); ++split) {
     for (int source = 0; source < dataset->num_sources(); ++source) {
-      Bucket& b = dataset->bucket(source, split);
-      MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
+      MRS_RETURN_IF_ERROR(LoadForCollect(dataset, source, split, fetch));
+      const Bucket& b = dataset->bucket(source, split);
       out.insert(out.end(), b.records().begin(), b.records().end());
     }
   }
   return out;
+}
+
+Status Job::LoadForCollect(const DataSetPtr& dataset, int source, int split,
+                           const UrlFetcher& fetch) {
+  // The host of a finished bucket may die after Wait returns.  The runner
+  // re-derives the bucket through lineage, which replaces the row, so the
+  // bucket is looked up afresh after every Wait.
+  constexpr int kMaxRecoveries = 4;
+  for (int recoveries = 0;; ++recoveries) {
+    Bucket& b = dataset->bucket(source, split);
+    std::string url = b.url();
+    Status loaded = b.EnsureLoaded(fetch);
+    if (loaded.ok() || url.empty() || recoveries == kMaxRecoveries ||
+        !runner_->RecoverLostUrl(url)) {
+      return loaded;
+    }
+    MRS_LOG(kWarning, "job") << "collect: re-deriving lost bucket " << url
+                             << " (" << loaded.ToString() << ")";
+    MRS_RETURN_IF_ERROR(Wait(dataset));
+  }
 }
 
 void Job::Discard(const DataSetPtr& dataset) {

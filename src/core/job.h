@@ -82,6 +82,11 @@ class Job {
   int ResolveSplits(int requested) const {
     return requested > 0 ? requested : default_parallelism_;
   }
+  /// Load bucket (source, split) of a complete dataset for Collect, asking
+  /// the runner to re-derive it (a bounded number of times) when its host
+  /// is gone.
+  Status LoadForCollect(const DataSetPtr& dataset, int source, int split,
+                        const UrlFetcher& fetch);
 
   MapReduce* program_;
   std::unique_ptr<Runner> runner_;

@@ -39,6 +39,13 @@ class Runner {
   /// Fetcher able to resolve this runner's bucket URLs (for Collect).
   virtual UrlFetcher fetcher() = 0;
 
+  /// Collect could not fetch `url`, a bucket of a dataset that Wait
+  /// reported complete.  A runner that can re-derive the bucket from its
+  /// lineage schedules that and returns true; Collect then waits for the
+  /// dataset again and re-reads the bucket.  Local runners cannot lose a
+  /// bucket to a dead host, so the default declines.
+  virtual bool RecoverLostUrl(const std::string& /*url*/) { return false; }
+
   /// Implementation name ("serial", "mockparallel", "masterslave").
   virtual std::string name() const = 0;
 

@@ -28,8 +28,7 @@ Result<std::unique_ptr<WebHdfsServer>> WebHdfsServer::Start(
       HttpServer::Start(host, port,
                         [raw](const HttpRequest& req) {
                           return raw->Handle(req);
-                        },
-                        /*num_workers=*/4));
+                        }));
   return server;
 }
 

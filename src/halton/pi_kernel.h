@@ -15,6 +15,7 @@
 // tier is an execution strategy, never a semantics change.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -24,6 +25,9 @@
 namespace mrs {
 
 enum class PiEngine { kNative, kVm, kVmTyped, kTreeWalk };
+/// Number of engines, for arrays indexed by PiEngine (kTreeWalk is last).
+inline constexpr size_t kNumPiEngines =
+    static_cast<size_t>(PiEngine::kTreeWalk) + 1;
 
 /// Parse "native" / "vm" / "vm-typed" / "treewalk" (aliases: "c", "pypy",
 /// "typed", "python").

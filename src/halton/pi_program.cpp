@@ -43,7 +43,7 @@ Status PiEstimatorProgram::InputData(Job& job, DataSetPtr* out) {
 PiKernel* PiEstimatorProgram::ThreadLocalKernel() {
   // One kernel per (thread, engine): map tasks may run concurrently on a
   // shared program instance, and the VM/tree-walk kernels are stateful.
-  thread_local std::unique_ptr<PiKernel> kernels[3];
+  thread_local std::unique_ptr<PiKernel> kernels[kNumPiEngines];
   auto slot = static_cast<size_t>(engine);
   if (kernels[slot] == nullptr) {
     Result<std::unique_ptr<PiKernel>> kernel = PiKernel::Create(engine);

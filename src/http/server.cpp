@@ -1,6 +1,10 @@
 #include "http/server.h"
 
 #include <poll.h>
+#include <sys/socket.h>
+
+#include <cerrno>
+#include <system_error>
 
 #include "common/log.h"
 #include "common/strings.h"
@@ -10,21 +14,27 @@
 
 namespace mrs {
 
+namespace {
+
+// A keep-alive connection idle this long is closed by its thread.  Matches
+// the client pool's max_idle_seconds default; a client that reuses a
+// connection closed here reconnects once (HttpClient::Do).
+constexpr int kIdleTimeoutMs = 30000;
+
+}  // namespace
+
 Result<std::unique_ptr<HttpServer>> HttpServer::Start(const std::string& host,
                                                       uint16_t port,
                                                       Handler handler,
-                                                      size_t num_workers) {
+                                                      size_t /*ignored*/) {
   MRS_ASSIGN_OR_RETURN(TcpListener listener, TcpListener::Listen(host, port));
   MRS_RETURN_IF_ERROR(listener.SetNonBlocking(true));
   return std::unique_ptr<HttpServer>(
-      new HttpServer(std::move(listener), std::move(handler), num_workers));
+      new HttpServer(std::move(listener), std::move(handler)));
 }
 
-HttpServer::HttpServer(TcpListener listener, Handler handler,
-                       size_t num_workers)
-    : listener_(std::move(listener)),
-      handler_(std::move(handler)),
-      workers_(num_workers) {
+HttpServer::HttpServer(TcpListener listener, Handler handler)
+    : listener_(std::move(listener)), handler_(std::move(handler)) {
   accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 
@@ -37,11 +47,28 @@ void HttpServer::Shutdown() {
   // Close the listener so late peers get connection-refused (retryable)
   // instead of sitting in the accept backlog waiting on a dead server.
   listener_.Close();
-  workers_.Shutdown();
+  {
+    // Half-closing wakes every connection thread blocked in poll with EOF;
+    // a thread inside a handler answers that request first, then sees EOF.
+    MutexLock lock(conns_mutex_);
+    for (const auto& [fd, thread] : conns_) ::shutdown(fd, SHUT_RD);
+    while (!conns_.empty()) conns_closed_.Wait(conns_mutex_);
+  }
+  JoinFinished();
+}
+
+void HttpServer::JoinFinished() {
+  std::vector<std::thread> finished;
+  {
+    MutexLock lock(conns_mutex_);
+    finished.swap(finished_);
+  }
+  for (std::thread& t : finished) t.join();
 }
 
 void HttpServer::AcceptLoop() {
   while (!stop_.load()) {
+    JoinFinished();
     pollfd pfd{listener_.fd(), POLLIN, 0};
     int n = ::poll(&pfd, 1, /*timeout_ms=*/50);
     if (n <= 0) continue;
@@ -52,18 +79,40 @@ void HttpServer::AcceptLoop() {
       }
       continue;
     }
-    // shared_ptr because std::function requires copyable closures.
-    auto shared = std::make_shared<TcpConn>(std::move(conn).value());
-    workers_.Submit([this, shared] { HandleConnection(std::move(*shared)); });
+    // Register and start under one lock: the thread's deregistration then
+    // always finds its entry, and a failed start is closed and erased
+    // before Shutdown can half-close its (possibly reused) descriptor.
+    MutexLock lock(conns_mutex_);
+    auto slot = conns_.try_emplace(conn->fd()).first;
+    try {
+      slot->second = std::thread([this, c = std::move(conn).value()]() mutable {
+        RunConnection(std::move(c));
+      });
+    } catch (const std::system_error& e) {
+      // The connection closed with the discarded closure.
+      conns_.erase(slot);
+      MRS_LOG(kWarning, "http")
+          << "dropped a connection: cannot start its thread: " << e.what();
+    }
   }
 }
 
-void HttpServer::HandleConnection(TcpConn conn) {
+void HttpServer::RunConnection(TcpConn conn) {
+  ServeRequests(conn);
+  // Deregister while the fd is still open (conn closes after this
+  // returns), so Shutdown never half-closes a reused descriptor number.
+  MutexLock lock(conns_mutex_);
+  auto self = conns_.find(conn.fd());
+  finished_.push_back(std::move(self->second));
+  conns_.erase(self);
+  conns_closed_.NotifyAll();
+}
+
+void HttpServer::ServeRequests(const TcpConn& conn) {
   (void)conn.SetNoDelay(true);
   std::string pending;  // bytes past the current message (keep-alive)
   char buf[16384];
-  // Serve up to 1024 keep-alive requests per connection.
-  for (int served = 0; served < 1024 && !stop_.load(); ++served) {
+  while (!stop_.load()) {
     HttpRequestParser parser;
     // Feed leftover bytes first.
     if (!pending.empty()) {
@@ -72,17 +121,12 @@ void HttpServer::HandleConnection(TcpConn conn) {
       pending.erase(0, *used);
     }
     while (!parser.Done()) {
-      // Wait for readability in short slices so Shutdown() can reclaim this
-      // worker even while a keep-alive peer stays idle.
       pollfd pfd{conn.fd(), POLLIN, 0};
-      int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-      if (ready == 0) {
-        if (stop_.load()) return;
-        continue;
-      }
-      if (ready < 0) return;
+      int ready = ::poll(&pfd, 1, kIdleTimeoutMs);
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready <= 0) return;  // idle limit reached, or poll failed
       Result<size_t> n = conn.Read(buf, sizeof(buf));
-      if (!n.ok() || *n == 0) return;  // peer closed or error
+      if (!n.ok() || *n == 0) return;  // peer closed, Shutdown, or error
       std::string_view chunk(buf, *n);
       Result<size_t> used = parser.Feed(chunk);
       if (!used.ok()) {

@@ -2,18 +2,27 @@
 //
 // Plays the role of the "built-in HTTP server" each Mrs slave runs to serve
 // intermediate data files, and carries XML-RPC traffic for the master.  One
-// accept thread polls the listener; connections are handled on a small
-// worker pool; handlers are plain functions from request to response.
+// accept thread polls the listener and starts one thread per accepted
+// connection.  That thread serves the connection's keep-alive requests
+// until the peer closes, the connection idles past a fixed limit, or
+// Shutdown() half-closes it.  Handlers are plain functions from request to
+// response, and they may block — the master's get_task long-polls — which
+// is why connections get their own threads instead of sharing a bounded
+// pool: a pool smaller than the number of open peer connections would
+// leave the extra peers waiting forever.
 #pragma once
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
-#include "common/threadpool.h"
+#include "common/thread_annotations.h"
 #include "http/message.h"
 #include "net/socket.h"
 
@@ -23,12 +32,14 @@ class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
-  /// Bind to host:port (port 0 = ephemeral) and start serving on
-  /// `num_workers` connection threads.
+  /// Bind to host:port (port 0 = ephemeral) and start serving.  The
+  /// trailing size_t is ignored.  It used to size a fixed worker pool and
+  /// stays only so that callers written against that signature still
+  /// compile; every connection now gets its own thread.
   static Result<std::unique_ptr<HttpServer>> Start(const std::string& host,
                                                    uint16_t port,
                                                    Handler handler,
-                                                   size_t num_workers = 4);
+                                                   size_t /*ignored*/ = 0);
 
   ~HttpServer();
 
@@ -40,19 +51,32 @@ class HttpServer {
     return "http://" + addr().ToString();
   }
 
-  /// Stop accepting, drain in-flight connections, join threads.
+  /// Stop accepting, half-close every open connection, and join each
+  /// connection thread once it has answered its request in flight, so no
+  /// handler outlives the server.  Idempotent.
   void Shutdown();
 
  private:
-  HttpServer(TcpListener listener, Handler handler, size_t num_workers);
+  HttpServer(TcpListener listener, Handler handler);
   void AcceptLoop();
-  void HandleConnection(TcpConn conn);
+  /// Body of a connection's thread: serve, then deregister.
+  void RunConnection(TcpConn conn);
+  void ServeRequests(const TcpConn& conn);
+  /// Join the threads of connections that have closed.
+  void JoinFinished();
 
   TcpListener listener_;
   Handler handler_;
   std::atomic<bool> stop_{false};
-  ThreadPool workers_;
-  std::thread accept_thread_;
+
+  Mutex conns_mutex_;
+  CondVar conns_closed_;
+  /// Threads of open connections, keyed by descriptor.
+  std::map<int, std::thread> conns_ MRS_GUARDED_BY(conns_mutex_);
+  /// Threads whose connection has closed, not yet joined.
+  std::vector<std::thread> finished_ MRS_GUARDED_BY(conns_mutex_);
+
+  std::thread accept_thread_;  // last: it uses every member above
 };
 
 }  // namespace mrs

@@ -160,10 +160,6 @@ Result<TcpConn> TcpConn::Connect(const SocketAddr& addr,
   return TcpConn(std::move(fd));
 }
 
-Status TcpConn::SetNonBlocking(bool enabled) const {
-  return SetFdNonBlocking(fd_.get(), enabled);
-}
-
 Status TcpConn::SetNoDelay(bool enabled) const {
   int v = enabled ? 1 : 0;
   if (::setsockopt(fd_.get(), IPPROTO_TCP, TCP_NODELAY, &v, sizeof(v)) < 0) {
@@ -188,10 +184,12 @@ Status TcpConn::WriteAll(const void* buf, size_t len) const {
   const uint8_t* p = static_cast<const uint8_t*>(buf);
   size_t written = 0;
   while (written < len) {
-    ssize_t n = ::write(fd_.get(), p + written, len - written);
+    // MSG_NOSIGNAL: a peer that hung up must surface as an error Status
+    // (EPIPE), not as a SIGPIPE that kills the whole process.
+    ssize_t n = ::send(fd_.get(), p + written, len - written, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return IoErrorFromErrno("write", errno);
+      return IoErrorFromErrno("send", errno);
     }
     written += static_cast<size_t>(n);
   }

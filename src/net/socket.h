@@ -42,7 +42,8 @@ class TcpListener {
   /// Blocking accept.
   Result<TcpConn> Accept() const;
 
-  /// Make accepts non-blocking (for event-loop use).
+  /// Make accepts non-blocking, so an accept loop that polls first never
+  /// blocks on a connection the peer reset before it was accepted.
   Status SetNonBlocking(bool enabled) const;
 
   /// Stop listening.  Pending not-yet-accepted connections are reset, and
@@ -71,13 +72,13 @@ class TcpConn {
   bool valid() const { return fd_.valid(); }
   int fd() const { return fd_.get(); }
 
-  Status SetNonBlocking(bool enabled) const;
   Status SetNoDelay(bool enabled) const;
 
   /// Read up to `len` bytes.  Returns 0 on orderly EOF.
   Result<size_t> Read(void* buf, size_t len) const;
 
-  /// Write exactly `len` bytes (loops over partial writes).
+  /// Write exactly `len` bytes (loops over partial writes).  A closed peer
+  /// is an error Status, never a SIGPIPE.
   Status WriteAll(const void* buf, size_t len) const;
   Status WriteAll(std::string_view s) const {
     return WriteAll(s.data(), s.size());

@@ -31,6 +31,9 @@ class MasterRunner final : public Runner {
     return master_->Wait(dataset);
   }
   UrlFetcher fetcher() override { return master_->fetcher(); }
+  bool RecoverLostUrl(const std::string& url) override {
+    return master_->RecoverLostUrl(url);
+  }
   std::string name() const override { return "masterslave"; }
   void Discard(const DataSetPtr& dataset) override {
     master_->Discard(dataset);

@@ -132,8 +132,7 @@ Status Master::Init() {
           config_.host, config_.port,
           dispatcher_.MakeHttpHandler(
               "/RPC2", obs::MakeObsHandler([this] { return StatusJson(); },
-                                           nullptr)),
-          config_.rpc_workers));
+                                           nullptr))));
   rpc_retries_base_ = RpcRetryCount();
   fetch_retries_base_ = FetchRetryCount();
   monitor_ = std::thread([this] { MonitorLoop(); });
@@ -415,6 +414,17 @@ UrlFetcher Master::fetcher() const {
   return [](const std::string& url) {
     return ResolveUrlWithRetry(url, DefaultFetchRetryPolicy());
   };
+}
+
+bool Master::RecoverLostUrl(const std::string& url) {
+  bool recovered;
+  {
+    MutexLock lock(mutex_);
+    recovered = RecoverLostUrlLocked(url);
+  }
+  sched_cv_.NotifyAll();
+  done_cv_.NotifyAll();
+  return recovered;
 }
 
 // ---- Scheduling -------------------------------------------------------

@@ -90,7 +90,6 @@ class Master {
     double monitor_interval = 0.2;
     int max_task_attempts = 4;
     double long_poll_seconds = 0.25;
-    size_t rpc_workers = 16;
     bool enable_affinity = true;
     /// Probe a signing-in slave's data server (GET /status) before
     /// admitting it to the roster; a slave whose data plane is unreachable
@@ -137,6 +136,10 @@ class Master {
   Status Wait(const DataSetPtr& dataset);
   void Discard(const DataSetPtr& dataset);
   UrlFetcher fetcher() const;
+  /// A fetch of `url` failed outside any task (Job::Collect): recover it
+  /// exactly as a slave's bad_url report would.  True if lineage
+  /// re-execution was scheduled or the URL has already moved.
+  bool RecoverLostUrl(const std::string& url);
 
   /// Tell all slaves to quit and stop the server.  Idempotent.
   void Shutdown();

@@ -100,8 +100,7 @@ Status Slave::Init() {
                             [this] { return StatusJson(); },
                             [this](const HttpRequest& req) {
                               return ServeData(req);
-                            }),
-                        /*num_workers=*/4));
+                            })));
   rpc_ = std::make_unique<XmlRpcClient>(config_.master);
   rpc_->set_retry_policy(config_.rpc_retry);
 

@@ -124,8 +124,7 @@ TEST(ChecksumGuard, CorruptBodyIsDataLoss) {
                            ContentChecksum("other payload"));
         }
         return resp;
-      },
-      /*num_workers=*/1);
+      });
   ASSERT_TRUE(server.ok());
   std::string base = "http://" + (*server)->addr().ToString();
 
@@ -158,7 +157,8 @@ class ChaosWordCount : public MapReduce {
     emit(Value(sum));
   }
 
-  Status Run(Job& job) override {
+  /// Submit the map and reduce; returns the reduce dataset.
+  static DataSetPtr Submit(Job& job) {
     static const char* kWords[] = {"map", "reduce", "python", "cluster",
                                    "halton", "pi", "mrs", "slave"};
     std::vector<KeyValue> input;
@@ -169,8 +169,11 @@ class ChaosWordCount : public MapReduce {
     DataSetOptions options;
     options.num_splits = 4;
     DataSetPtr mapped = job.MapData(data, options);
-    DataSetPtr reduced = job.ReduceData(mapped, options);
-    MRS_ASSIGN_OR_RETURN(result, job.Collect(reduced));
+    return job.ReduceData(mapped, options);
+  }
+
+  Status Run(Job& job) override {
+    MRS_ASSIGN_OR_RETURN(result, job.Collect(Submit(job)));
     std::sort(result.begin(), result.end(), KeyValueLess);
     return Status::Ok();
   }
@@ -230,6 +233,40 @@ TEST(Chaos, WordCountSurvivesCrashAndFlakyFetches) {
   EXPECT_GE(stats.slaves_lost, 1);
   EXPECT_GE(stats.lineage_recoveries, 1);
   EXPECT_GE(stats.tasks_invalidated, 1);
+  (*cluster)->Shutdown();
+}
+
+// The slave hosting a finished reduce bucket dies after Wait returned but
+// before Collect fetched the bucket.  Collect must hand the dead URL to
+// lineage recovery, wait for the re-run, and read the re-derived bucket.
+TEST(Chaos, CollectRederivesBucketWhoseHostDiedAfterWait) {
+  auto cluster = ClusterLauncher::Start(
+      [] { return std::unique_ptr<MapReduce>(new ChaosWordCount()); },
+      Options(), FastFailoverConfig(4));
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+
+  ChaosWordCount program;
+  ASSERT_TRUE(program.Init(Options()).ok());
+  Job job(&program, std::make_unique<MasterRunner>(&(*cluster)->master()));
+  DataSetPtr reduced = ChaosWordCount::Submit(job);
+  ASSERT_TRUE(job.Wait(reduced).ok());
+
+  std::string url = reduced->bucket(0, 0).url();
+  int host = -1;
+  for (int i = 0; i < (*cluster)->num_slaves(); ++i) {
+    std::string base =
+        "http://" + (*cluster)->slave(i).data_addr().ToString() + "/";
+    if (StartsWith(url, base)) host = i;
+  }
+  ASSERT_GE(host, 0) << "no slave serves " << url;
+  (*cluster)->slave(host).Crash();
+
+  auto collected = job.Collect(reduced);
+  ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+  std::sort(collected->begin(), collected->end(), KeyValueLess);
+  EXPECT_EQ(EncodeTextRecords(*collected),
+            EncodeTextRecords(SerialWordCount()));
+  EXPECT_GE((*cluster)->master().stats().lineage_recoveries, 1);
   (*cluster)->Shutdown();
 }
 

@@ -1,8 +1,7 @@
 // Unit tests for src/common: Status/Result, strings, varint framing,
-// hashing, options parsing, queues, thread pool.
+// hashing, options parsing, clocks.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <thread>
 
@@ -10,10 +9,8 @@
 #include "common/clock.h"
 #include "common/hash.h"
 #include "common/options.h"
-#include "common/queue.h"
 #include "common/status.h"
 #include "common/strings.h"
-#include "common/threadpool.h"
 #include "obs/metrics.h"
 
 namespace mrs {
@@ -320,62 +317,6 @@ TEST(Options, MalformedNumbersFallBackToDefaultAndCount) {
   int64_t after =
       obs::Registry::Instance().CounterValues()["mrs.options.parse_errors"];
   EXPECT_EQ(after - before, 2);
-}
-
-// ---- Queue / ThreadPool ------------------------------------------------------
-
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> q;
-  q.Push(1);
-  q.Push(2);
-  q.Push(3);
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_EQ(q.Pop().value(), 3);
-}
-
-TEST(BlockingQueue, CloseDrainsThenEnds) {
-  BlockingQueue<int> q;
-  q.Push(7);
-  q.Close();
-  EXPECT_FALSE(q.Push(8));
-  EXPECT_EQ(q.Pop().value(), 7);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(BlockingQueue, CrossThreadHandoff) {
-  BlockingQueue<int> q;
-  std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) q.Push(i);
-    q.Close();
-  });
-  int count = 0;
-  int sum = 0;
-  while (auto v = q.Pop()) {
-    ++count;
-    sum += *v;
-  }
-  producer.join();
-  EXPECT_EQ(count, 100);
-  EXPECT_EQ(sum, 4950);
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&] { counter.fetch_add(1); });
-    }
-    pool.Shutdown();
-  }
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPool, RejectsAfterShutdown) {
-  ThreadPool pool(1);
-  pool.Shutdown();
-  EXPECT_FALSE(pool.Submit([] {}));
 }
 
 // ---- Clock ---------------------------------------------------------------

@@ -6,6 +6,8 @@
 
 #include "halton/halton.h"
 #include "halton/pi_kernel.h"
+#include "halton/pi_program.h"
+#include "rt/mrs_main.h"
 
 namespace mrs {
 namespace {
@@ -137,6 +139,32 @@ TEST(PiEngines, ParseNames) {
   EXPECT_EQ(ParsePiEngine("pypy").value(), PiEngine::kVm);
   EXPECT_EQ(ParsePiEngine("python").value(), PiEngine::kTreeWalk);
   EXPECT_FALSE(ParsePiEngine("fortran").ok());
+}
+
+std::unique_ptr<MapReduce> TreeWalkPiProgram() {
+  auto p = std::make_unique<PiEstimatorProgram>();
+  p->samples = 8000;
+  p->tasks = 8;
+  p->engine = PiEngine::kTreeWalk;
+  return p;
+}
+
+TEST(PiEstimatorProgram, TreeWalkOnThreadRunnerMatchesBypass) {
+  // Worker threads cache one kernel per engine, and the tree-walk engine
+  // is the last slot of that cache.
+  std::unique_ptr<MapReduce> bypass = TreeWalkPiProgram();
+  ASSERT_TRUE(bypass->Bypass().ok());
+  std::unique_ptr<MapReduce> program = TreeWalkPiProgram();
+  ASSERT_TRUE(program->Init(Options()).ok());
+  RunConfig config;
+  config.impl = "thread";
+  config.num_workers = 4;
+  ASSERT_TRUE(RunProgram(TreeWalkPiProgram, program.get(), config).ok());
+  auto& want = static_cast<PiEstimatorProgram&>(*bypass);
+  auto& got = static_cast<PiEstimatorProgram&>(*program);
+  EXPECT_GT(want.inside, 0);
+  EXPECT_EQ(got.inside, want.inside);
+  EXPECT_EQ(got.estimate, want.estimate);
 }
 
 }  // namespace

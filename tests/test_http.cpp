@@ -5,6 +5,8 @@
 #include <poll.h>
 
 #include <atomic>
+#include <functional>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -238,11 +240,7 @@ class HttpIntegration : public ::testing::Test {
   void SetUp() override {
     auto server = HttpServer::Start(
         "127.0.0.1", 0,
-        [this](const HttpRequest& req) { return Handle(req); },
-        // Enough workers that pool tests can hold several keep-alive
-        // connections open at once (each occupies a worker for its
-        // lifetime) without starving the next dial.
-        /*num_workers=*/6);
+        [this](const HttpRequest& req) { return Handle(req); });
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).value();
   }
@@ -255,6 +253,13 @@ class HttpIntegration : public ::testing::Test {
     }
     if (path == "/big") {
       return HttpResponse::Ok(std::string(1 << 20, 'x'));
+    }
+    if (path == "/slow-big") {
+      // Slow enough that an impatient peer has hung up before the write.
+      slow_started_.store(true);
+      SleepForSeconds(0.05);
+      slow_finished_.store(true);
+      return HttpResponse::Ok(std::string(8 << 20, 'x'));
     }
     if (path == "/flaky") {
       // 500s until the budget runs out, then serves — a peer mid-restart.
@@ -271,8 +276,24 @@ class HttpIntegration : public ::testing::Test {
     return HttpResponse::NotFound();
   }
 
+  /// Run `request` on a helper thread and wait at most `seconds` for it.
+  /// A request the server never answers fails the test instead of hanging
+  /// it: shutting the server down releases the helper.
+  bool AnsweredWithin(double seconds, std::function<bool()> request) {
+    std::packaged_task<bool()> task(std::move(request));
+    std::future<bool> answered = task.get_future();
+    std::thread helper(std::move(task));
+    bool in_time = answered.wait_for(std::chrono::duration<double>(seconds)) ==
+                   std::future_status::ready;
+    if (!in_time) server_->Shutdown();
+    helper.join();
+    return in_time && answered.get();
+  }
+
   std::unique_ptr<HttpServer> server_;
   std::atomic<int> flaky_failures_{0};
+  std::atomic<bool> slow_started_{false};
+  std::atomic<bool> slow_finished_{false};
 };
 
 TEST_F(HttpIntegration, GetAndPostRoundTrip) {
@@ -327,6 +348,50 @@ TEST_F(HttpIntegration, ConcurrentClients) {
   EXPECT_EQ(ok_count.load(), kThreads * 25);
 }
 
+TEST_F(HttpIntegration, IdleKeepAliveClientsDoNotStarveTheNextOne) {
+  // Eight peers each keep an idle keep-alive connection open.  A ninth
+  // peer must still be answered promptly: open connections never use up
+  // the server's capacity to serve a new one.
+  std::vector<std::unique_ptr<HttpClient>> idle;
+  for (int i = 0; i < 8; ++i) {
+    idle.push_back(std::make_unique<HttpClient>(server_->addr()));
+  }
+  ASSERT_TRUE(AnsweredWithin(10.0, [&] {
+    for (auto& client : idle) {
+      auto resp = client->Get("/echo");
+      if (!resp.ok() || resp->status_code != 200) return false;
+    }
+    return true;
+  }));
+  HttpClient ninth(server_->addr());
+  EXPECT_TRUE(AnsweredWithin(2.0, [&] {
+    auto resp = ninth.Get("/echo");
+    return resp.ok() && resp->body == "GET:";
+  }));
+}
+
+TEST_F(HttpIntegration, PeersHangingUpBeforeTheResponseDoNotKillTheServer) {
+  // Writing to a peer that already hung up raises SIGPIPE unless the write
+  // opts out; the default action would end the whole process.
+  obs::Counter* served =
+      obs::Registry::Instance().GetCounter("mrs.http.server.requests");
+  int64_t before = served->value();
+  for (int i = 0; i < 5; ++i) {
+    auto peer = TcpConn::Connect(server_->addr());
+    ASSERT_TRUE(peer.ok()) << peer.status().ToString();
+    ASSERT_TRUE(peer->WriteAll("GET /slow-big HTTP/1.1\r\n\r\n").ok());
+  }  // each peer closes here, before its response is written
+  Stopwatch watch;
+  while (served->value() - before < 5 && watch.ElapsedSeconds() < 10.0) {
+    SleepForSeconds(0.01);
+  }
+  SleepForSeconds(0.2);  // let the writes to the departed peers fail
+  HttpClient client(server_->addr());
+  auto resp = client.Get("/echo");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->body, "GET:");
+}
+
 TEST_F(HttpIntegration, HttpFetchHelper) {
   std::string url = server_->url_base() + "/echo";
   auto body = HttpFetch(url);
@@ -340,6 +405,25 @@ TEST_F(HttpIntegration, ShutdownIsIdempotentAndFast) {
   server_->Shutdown();
   server_->Shutdown();
   EXPECT_LT(watch.ElapsedSeconds(), 2.0);
+}
+
+TEST_F(HttpIntegration, ShutdownWaitsForTheRequestInFlight) {
+  // Shutdown half-closes every connection, but a handler already running
+  // still answers its request, and Shutdown returns only after it has.
+  Result<HttpResponse> resp = InternalError("not answered");
+  std::thread request([&] {
+    HttpClient client(server_->addr());
+    resp = client.Get("/slow-big");
+  });
+  Stopwatch watch;
+  while (!slow_started_.load() && watch.ElapsedSeconds() < 10.0) {
+    SleepForSeconds(0.001);
+  }
+  server_->Shutdown();
+  EXPECT_TRUE(slow_finished_.load());
+  request.join();
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->body.size(), 8u << 20);
 }
 
 TEST_F(HttpIntegration, TransientServerErrorIsRetryableNotNotFound) {

@@ -1,12 +1,9 @@
-// Tests for sockets, pipe waker, and the poll event loop.
+// Tests for socket addresses and TCP listen/connect/read/write.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 
-#include "net/event_loop.h"
 #include "net/socket.h"
-#include "net/waker.h"
 
 namespace mrs {
 namespace {
@@ -83,107 +80,6 @@ TEST(Tcp, ReadToEndSeesEof) {
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(*all, "abc123");
   server.join();
-}
-
-TEST(Waker, NotifyWakesAndDrainClears) {
-  auto waker = Waker::Create();
-  ASSERT_TRUE(waker.ok());
-  waker->Notify();
-  waker->Notify();
-  pollfd pfd{waker->read_fd(), POLLIN, 0};
-  EXPECT_EQ(::poll(&pfd, 1, 100), 1);
-  waker->Drain();
-  pfd.revents = 0;
-  EXPECT_EQ(::poll(&pfd, 1, 0), 0);  // drained: no longer readable
-}
-
-TEST(EventLoop, PostRunsOnLoopThread) {
-  EventLoop loop;
-  std::atomic<bool> ran{false};
-  loop.Post([&] {
-    ran = true;
-    loop.Stop();
-  });
-  loop.Run();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(EventLoop, PostFromOtherThread) {
-  EventLoop loop;
-  std::atomic<int> value{0};
-  std::thread poster([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    loop.Post([&] {
-      value = 42;
-      loop.Stop();
-    });
-  });
-  loop.Run();
-  poster.join();
-  EXPECT_EQ(value.load(), 42);
-}
-
-TEST(EventLoop, TimerFiresAfterDelay) {
-  EventLoop loop;
-  Stopwatch watch;
-  double fired_at = -1;
-  loop.AddTimer(0.05, [&] {
-    fired_at = watch.ElapsedSeconds();
-    loop.Stop();
-  });
-  loop.Run();
-  EXPECT_GE(fired_at, 0.045);
-  EXPECT_LT(fired_at, 2.0);
-}
-
-TEST(EventLoop, CancelledTimerNeverFires) {
-  EventLoop loop;
-  std::atomic<bool> fired{false};
-  EventLoop::TimerId id = loop.AddTimer(0.02, [&] { fired = true; });
-  loop.CancelTimer(id);
-  loop.AddTimer(0.08, [&] { loop.Stop(); });
-  loop.Run();
-  EXPECT_FALSE(fired.load());
-}
-
-TEST(EventLoop, FdReadableCallbackFires) {
-  EventLoop loop;
-  auto waker = Waker::Create();
-  ASSERT_TRUE(waker.ok());
-  std::atomic<bool> readable{false};
-  loop.WatchFd(waker->read_fd(), FdEvents{.readable = true, .writable = false},
-               [&](FdEvents ev) {
-                 if (ev.readable) {
-                   readable = true;
-                   waker->Drain();
-                   loop.Stop();
-                 }
-               });
-  std::thread writer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    waker->Notify();
-  });
-  loop.Run();
-  writer.join();
-  EXPECT_TRUE(readable.load());
-}
-
-TEST(EventLoop, UnwatchStopsCallbacks) {
-  EventLoop loop;
-  auto waker = Waker::Create();
-  ASSERT_TRUE(waker.ok());
-  std::atomic<int> calls{0};
-  loop.WatchFd(waker->read_fd(), FdEvents{.readable = true, .writable = false},
-               [&](FdEvents) {
-                 ++calls;
-                 loop.UnwatchFd(waker->read_fd());
-                 // Leave the byte in the pipe: without unwatch this would
-                 // fire continuously.
-               });
-  waker->Notify();
-  loop.AddTimer(0.1, [&] { loop.Stop(); });
-  loop.Run();
-  EXPECT_EQ(calls.load(), 1);
 }
 
 }  // namespace

@@ -213,8 +213,7 @@ TEST(ObsEndpoints, MetricsStatusTraceAndFallback) {
               return HttpResponse::Ok("payload", "application/octet-stream");
             }
             return HttpResponse::NotFound();
-          }),
-      /*num_workers=*/2);
+          }));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   std::string base = "http://" + (*server)->addr().ToString();
 
@@ -241,8 +240,7 @@ TEST(ObsEndpoints, MetricsStatusTraceAndFallback) {
 
 TEST(ObsEndpoints, NullProviderAndNullFallback) {
   auto server = HttpServer::Start(
-      "127.0.0.1", 0, obs::MakeObsHandler(nullptr, nullptr),
-      /*num_workers=*/1);
+      "127.0.0.1", 0, obs::MakeObsHandler(nullptr, nullptr));
   ASSERT_TRUE(server.ok());
   std::string base = "http://" + (*server)->addr().ToString();
   auto status = HttpFetch(base + "/status");

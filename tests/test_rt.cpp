@@ -6,12 +6,14 @@
 
 #include <map>
 
+#include "common/clock.h"
 #include "common/strings.h"
 #include "fs/file_io.h"
 #include "obs/metrics.h"
 #include "rt/cluster.h"
 #include "rt/mrs_main.h"
 #include "rt/protocol.h"
+#include "ser/record.h"
 #include "xmlrpc/client.h"
 
 namespace mrs {
@@ -184,13 +186,13 @@ class IterativeProgram : public MapReduce {
   }
   Status Run(Job& job) override {
     std::vector<KeyValue> input;
-    for (int64_t i = 0; i < 8; ++i) {
+    for (int64_t i = 0; i < records; ++i) {
       input.push_back(KeyValue{Value(i), Value(int64_t{0})});
     }
-    DataSetPtr data = job.LocalData(std::move(input), 4);
+    DataSetPtr data = job.LocalData(std::move(input), splits);
     for (int round = 0; round < rounds; ++round) {
       DataSetOptions options;
-      options.num_splits = 4;
+      options.num_splits = splits;
       DataSetPtr mapped = job.MapData(data, options);
       DataSetPtr reduced = job.ReduceData(mapped, options);
       data = reduced;
@@ -199,6 +201,8 @@ class IterativeProgram : public MapReduce {
     return Status::Ok();
   }
   int rounds = 5;
+  int records = 8;
+  int splits = 4;
   std::vector<KeyValue> result;
 };
 
@@ -257,6 +261,46 @@ TEST(MasterSlave, DiscardPropagatesToSlaves) {
   auto out = job.Collect(mapped2);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   (*cluster)->Shutdown();
+}
+
+// ---- Wide clusters -----------------------------------------------------------
+
+std::unique_ptr<MapReduce> WideIterativeProgram() {
+  auto p = std::make_unique<IterativeProgram>();
+  p->records = 256;
+  p->splits = 64;
+  return p;
+}
+
+TEST(MasterSlave, SixteenSlavesMatchSerialAndShutDownPromptly) {
+  // Sixteen slaves keep dozens of keep-alive connections open to the
+  // master and to each other's data servers, and every one must be
+  // served.  A stall here ends in test_rt's ctest TIMEOUT.
+  std::unique_ptr<MapReduce> serial = WideIterativeProgram();
+  ASSERT_TRUE(serial->Init(Options()).ok());
+  RunConfig serial_config;
+  serial_config.impl = "serial";
+  ASSERT_TRUE(
+      RunProgram(WideIterativeProgram, serial.get(), serial_config).ok());
+
+  ClusterLauncher::Config config;
+  config.num_slaves = 16;
+  auto cluster = ClusterLauncher::Start(WideIterativeProgram, Options(), config);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  std::unique_ptr<MapReduce> program = WideIterativeProgram();
+  ASSERT_TRUE(program->Init(Options()).ok());
+  Job job(program.get(),
+          std::make_unique<MasterRunner>(&(*cluster)->master()));
+  Status status = program->Run(job);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  Stopwatch shutdown;
+  (*cluster)->Shutdown();
+  EXPECT_LT(shutdown.ElapsedSeconds(), 10.0);
+
+  auto& got = static_cast<IterativeProgram&>(*program).result;
+  auto& want = static_cast<IterativeProgram&>(*serial).result;
+  ASSERT_EQ(got.size(), 256u);
+  EXPECT_EQ(EncodeTextRecords(got), EncodeTextRecords(want));
 }
 
 // ---- Run-script handshake (port file) ------------------------------------------
