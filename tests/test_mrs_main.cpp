@@ -3,6 +3,9 @@
 // implementation equivalence (including Bypass).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "fs/file_io.h"
 #include "halton/pi_program.h"
 #include "rt/mrs_main.h"
@@ -75,8 +78,11 @@ struct PiCase {
   PiEngine engine;
 };
 
+// The implementation is a std::string, not a const char*: inside a tuple
+// gtest prints a char pointer with its address, and ctest names each case
+// after that printout, so the name would change from run to run.
 class PiEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char*, PiEngine>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, PiEngine>> {};
 
 TEST_P(PiEquivalence, MatchesBypassExactly) {
   const auto& [impl, engine] = GetParam();
@@ -114,12 +120,13 @@ TEST_P(PiEquivalence, MatchesBypassExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     ImplsAndEngines, PiEquivalence,
-    ::testing::Combine(::testing::Values("serial", "mockparallel",
-                                         "masterslave"),
+    ::testing::Combine(::testing::Values(std::string("serial"),
+                                         std::string("mockparallel"),
+                                         std::string("masterslave")),
                        ::testing::Values(PiEngine::kNative, PiEngine::kVm)),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, PiEngine>>&
+    [](const ::testing::TestParamInfo<std::tuple<std::string, PiEngine>>&
            info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::string(PiEngineName(std::get<1>(info.param)));
     });
 
