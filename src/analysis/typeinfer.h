@@ -2,14 +2,13 @@
 //
 // Abstract interpretation over the flat lattice of interp/typefacts.h,
 // run to a fixpoint over each function's CFG (worklist, join at merges),
-// with whole-module summary iteration for calls.  Three consumers:
+// with whole-module summary iteration for calls.  Two consumers:
 //
 //   1. The VM's typed tier: InferTypeFacts produces the TypeFactTable the
 //      VM re-checks (CheckTypeFacts) and compiles unboxed code from.
 //   2. mrs_lint / AnalyzeKernelSource: MPY5xx diagnostics (guaranteed
 //      TypeErrors, int/float accumulator mixing) and inferred per-function
 //      signatures for --json.
-//   3. Tests: the table round-trips through Serialize/ParseTypeFacts.
 //
 // Guard strategy: a parameter's entry-guard type is the join of the
 // argument types at every static MiniPy call site.  When that join is

@@ -2,9 +2,10 @@
 //
 // Mrs "defines several different implementations which define the run-time
 // behavior of a program" (paper §IV-A): master/slave, serial, mock
-// parallel, and bypass.  Serial, mock parallel and thread live in core;
-// the master/slave runner lives in rt (it needs the RPC stack); bypass
-// skips the Job machinery entirely.
+// parallel, and bypass.  Two runners live in core: SerialRunner, which is
+// serial and — given a tmpdir — mock parallel, and ThreadRunner.  The
+// master/slave runner lives in rt (it needs the RPC stack); bypass skips
+// the Job machinery entirely.
 //
 // Mock parallel vs thread: mock parallel keeps the master/slave task
 // decomposition and data movement (intermediate buckets go through files)
@@ -13,6 +14,11 @@
 // concurrency.  The thread runner is true shared-memory parallelism:
 // tasks genuinely race on a work-stealing pool, so it exercises the
 // thread-safety of program callbacks, which mock parallel cannot.
+//
+// Every runner turns an exception escaping user code into a failed task
+// (CatchUserExceptions in core/task.h).  The local runners re-run a task
+// an earlier Wait left failed, so their Wait returns OK only for a
+// complete dataset.
 #pragma once
 
 #include <memory>

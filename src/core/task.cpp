@@ -29,6 +29,21 @@ int ResolvePartition(const MapReduce& program, const Value& key,
   return 0;
 }
 
+std::optional<TaskSpillContext> NewTaskSpillContext(const std::string& label,
+                                                    int dataset_id, int source,
+                                                    const std::string& parent) {
+  MemoryBudget& budget = MemoryBudget::Process();
+  if (!budget.active()) return std::nullopt;
+  Result<std::string> dir = NewSpillDir(
+      label + "_ds" + std::to_string(dataset_id) + "_t" +
+          std::to_string(source),
+      parent);
+  if (!dir.ok()) return std::nullopt;
+  return TaskSpillContext{
+      *std::move(dir),
+      std::to_string(dataset_id) + "/" + std::to_string(source), &budget};
+}
+
 Result<std::string> LocalFetch(const std::string& url) {
   if (StartsWith(url, "file://")) {
     return ReadFileToString(url.substr(7));

@@ -1,15 +1,21 @@
 // Task execution: the one code path that computes a row of a dataset's
 // bucket grid.
 //
-// Every implementation — serial, mock parallel, master/slave — funnels
-// through RunMapTask / RunReduceTask, which is how Mrs guarantees that all
-// implementations "produce identical answers" (paper §IV-A): only the
-// scheduling and data movement differ, never the computation.
+// Every implementation — serial, mock parallel, thread, master/slave —
+// funnels through RunMapTask / RunReduceTask, which is how Mrs guarantees
+// that all implementations "produce identical answers" (paper §IV-A): only
+// the scheduling and data movement differ, never the computation.  Each
+// task funnel also takes its spill context from NewTaskSpillContext and
+// guards user code with CatchUserExceptions, so budgets and failures
+// behave the same on every runner.
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -22,17 +28,41 @@
 namespace mrs {
 
 /// Where and whether a task may spill its output buckets (fs/spill.h).
-/// Runners construct one per task when the process MemoryBudget is active;
-/// a null/inactive context reproduces the pre-spill behavior exactly.
+/// A null/inactive context reproduces the pre-spill behavior exactly.
 struct TaskSpillContext {
   std::string dir;        // existing directory for run files
-  std::string id_prefix;  // frame-id prefix, e.g. "<dataset>/<source>"
+  std::string id_prefix;  // frame-id prefix, "<dataset>/<source>"
   MemoryBudget* budget = nullptr;
 
   bool enabled() const {
     return budget != nullptr && budget->active() && !dir.empty();
   }
 };
+
+/// The spill context for one execution of task (`dataset_id`, `source`):
+/// a fresh run directory `<label>_ds<dataset>_t<source>_<n>` under
+/// `parent` (SpillRoot() when empty) and the task's frame-id prefix.
+/// Nullopt when the process MemoryBudget is inactive, or when no directory
+/// could be made — the task then runs in memory, over budget but correct.
+std::optional<TaskSpillContext> NewTaskSpillContext(
+    const std::string& label, int dataset_id, int source,
+    const std::string& parent = "");
+
+/// Run `fn`, which calls user map/reduce/combine code and returns a Status
+/// or Result, and turn an exception escaping it into an InternalError
+/// naming `where`: a throwing program fails its task, never the process.
+template <class Fn>
+auto CatchUserExceptions(const char* where, Fn&& fn) -> decltype(fn()) {
+  try {
+    return std::forward<Fn>(fn)();
+  } catch (const std::exception& e) {
+    return InternalError(std::string("uncaught exception in ") + where +
+                         ": " + e.what());
+  } catch (...) {
+    return InternalError(std::string("uncaught non-standard exception in ") +
+                         where);
+  }
+}
 
 /// Resolves a URL to raw content ("http://..." across slaves; "file://..."
 /// from disk).  Injected so tests can fake remote fetches and inject

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <iterator>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -480,20 +481,12 @@ void ThreadRunner::FlushCombineBuffer(const std::shared_ptr<ChainContext>& ctx,
     for (size_t p = 0; p < buf->per_split.size(); ++p) {
       std::vector<KeyValue>& recs = buf->per_split[p];
       if (recs.empty()) continue;
-      // The combiner is user code running on a pool worker: an escaped
-      // exception must surface as the chain's Status, not kill the
+      // The combiner is user code: a throw fails the chain, not the
       // process.
       Result<std::vector<KeyValue>> combined =
-          [&]() -> Result<std::vector<KeyValue>> {
-        try {
-          return SortGroupApply(std::move(recs), consumer->combiner);
-        } catch (const std::exception& e) {
-          return InternalError(std::string("uncaught exception in combiner: ") +
-                               e.what());
-        } catch (...) {
-          return InternalError("uncaught non-standard exception in combiner");
-        }
-      }();
+          CatchUserExceptions("combiner", [&] {
+            return SortGroupApply(std::move(recs), consumer->combiner);
+          });
       recs = std::vector<KeyValue>();
       if (!combined.ok()) {
         std::lock_guard<std::mutex> lock(ctx->mu);
@@ -589,17 +582,10 @@ void ThreadRunner::RunMorsel(const std::shared_ptr<ChainContext>& ctx,
     // byte-identical to the serial runner's); raw morsel output is what
     // feeds the reduce board early.
     opts.use_combiner = false;
-    Result<std::vector<Bucket>> row = [&]() -> Result<std::vector<Bucket>> {
-      try {
-        return RunMapTask(*program_, opts, ds.num_splits(),
-                          group->chunks[index], nullptr);
-      } catch (const std::exception& e) {
-        return InternalError(
-            std::string("uncaught exception in worker task: ") + e.what());
-      } catch (...) {
-        return InternalError("uncaught non-standard exception in worker task");
-      }
-    }();
+    Result<std::vector<Bucket>> row = CatchUserExceptions("task", [&] {
+      return RunMapTask(*program_, opts, ds.num_splits(),
+                        group->chunks[index], nullptr);
+    });
     if (row.ok()) {
       group->rows[index] = *std::move(row);
       produced = true;
@@ -641,37 +627,31 @@ void ThreadRunner::FinalizeMorselGroup(
   // (reproducing the serial emission order per bucket), then apply the
   // per-task combiner once — byte-identical to RunMapTask on the whole
   // input.
-  Result<std::vector<Bucket>> row = [&]() -> Result<std::vector<Bucket>> {
-    try {
-      int num_splits = ds.num_splits();
-      std::vector<Bucket> out;
-      out.reserve(static_cast<size_t>(num_splits));
-      for (int p = 0; p < num_splits; ++p) out.emplace_back(0, p);
-      for (std::vector<Bucket>& partial : group->rows) {
-        for (int p = 0; p < num_splits; ++p) {
-          out[static_cast<size_t>(p)].Absorb(
-              std::move(partial[static_cast<size_t>(p)]));
+  Result<std::vector<Bucket>> row = CatchUserExceptions(
+      "task", [&]() -> Result<std::vector<Bucket>> {
+        int num_splits = ds.num_splits();
+        std::vector<Bucket> out;
+        out.reserve(static_cast<size_t>(num_splits));
+        for (int p = 0; p < num_splits; ++p) out.emplace_back(0, p);
+        for (std::vector<Bucket>& partial : group->rows) {
+          for (int p = 0; p < num_splits; ++p) {
+            out[static_cast<size_t>(p)].Absorb(
+                std::move(partial[static_cast<size_t>(p)]));
+          }
         }
-      }
-      if (ds.options().use_combiner) {
-        MRS_ASSIGN_OR_RETURN(ReduceFn combiner,
-                             FindCombiner(*program_, ds.options()));
-        for (Bucket& b : out) {
-          if (b.records().empty()) continue;
-          MRS_ASSIGN_OR_RETURN(
-              *b.mutable_records(),
-              SortGroupApply(std::move(*b.mutable_records()), combiner));
+        if (ds.options().use_combiner) {
+          MRS_ASSIGN_OR_RETURN(ReduceFn combiner,
+                               FindCombiner(*program_, ds.options()));
+          for (Bucket& b : out) {
+            if (b.records().empty()) continue;
+            MRS_ASSIGN_OR_RETURN(
+                *b.mutable_records(),
+                SortGroupApply(std::move(*b.mutable_records()), combiner));
+          }
         }
-      }
-      for (Bucket& b : out) b.MarkLoaded();
-      return out;
-    } catch (const std::exception& e) {
-      return InternalError(std::string("uncaught exception in worker task: ") +
-                           e.what());
-    } catch (...) {
-      return InternalError("uncaught non-standard exception in worker task");
-    }
-  }();
+        for (Bucket& b : out) b.MarkLoaded();
+        return out;
+      });
   if (row.ok()) {
     CompleteTask(ctx, stage, group->source, &*row, group->deposit_partials);
   } else {
@@ -694,35 +674,17 @@ Result<std::vector<Bucket>> ThreadRunner::ExecuteTask(Stage* stage,
                        ds.kind() == DataSetKind::kMap ? "map" : "reduce");
   span.set_task(ds.id(), source);
 
-  TaskSpillContext spill;
-  const TaskSpillContext* spill_ptr = nullptr;
-  if (MemoryBudget::Process().active()) {
-    Result<std::string> dir = NewSpillDir(
-        "thread_ds" + std::to_string(ds.id()) + "_t" + std::to_string(source));
-    if (dir.ok()) {
-      spill.dir = *std::move(dir);
-      spill.id_prefix =
-          std::to_string(ds.id()) + "/" + std::to_string(source);
-      spill.budget = &MemoryBudget::Process();
-      spill_ptr = &spill;
-    }
-  }
-
-  // User map/reduce code runs on a pool worker: an escaped exception must
-  // surface as this task's Status, not terminate the process.
-  try {
+  std::optional<TaskSpillContext> spill =
+      NewTaskSpillContext("thread", ds.id(), source);
+  const TaskSpillContext* spill_ptr = spill ? &*spill : nullptr;
+  return CatchUserExceptions("task", [&]() -> Result<std::vector<Bucket>> {
     if (stage->board) {
       return RunTaskOnBuckets(*program_, ds.kind(), ds.options(),
                               ds.num_splits(), stage->board->Take(source),
                               LocalFetch, spill_ptr);
     }
     return RunTaskOnDataSet(*program_, ds, source, LocalFetch, spill_ptr);
-  } catch (const std::exception& e) {
-    return InternalError(
-        std::string("uncaught exception in worker task: ") + e.what());
-  } catch (...) {
-    return InternalError("uncaught non-standard exception in worker task");
-  }
+  });
 }
 
 }  // namespace mrs

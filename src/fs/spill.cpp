@@ -212,8 +212,12 @@ Result<std::string> SpillRoot() {
   return root;
 }
 
-Result<std::string> NewSpillDir(const std::string& label) {
-  MRS_ASSIGN_OR_RETURN(std::string root, SpillRoot());
+Result<std::string> NewSpillDir(const std::string& label,
+                                const std::string& parent) {
+  std::string root = parent;
+  if (root.empty()) {
+    MRS_ASSIGN_OR_RETURN(root, SpillRoot());
+  }
   static std::atomic<uint64_t> seq{0};
   std::string dir = JoinPath(
       root, label + "_" + std::to_string(seq.fetch_add(1)));

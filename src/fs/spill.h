@@ -137,10 +137,11 @@ void RemoveSpillRun(const SpillRun& run);
 /// spills).  Removed at process exit.
 Result<std::string> SpillRoot();
 
-/// Create a fresh subdirectory of SpillRoot() for one task execution's run
-/// files.  Each call returns a distinct directory (monotonic suffix), so a
-/// re-executed task never overwrites run files a stale bucket still
-/// references.
-Result<std::string> NewSpillDir(const std::string& label);
+/// Create a fresh subdirectory of `parent` (SpillRoot() when empty) for
+/// one task execution's run files.  Each call returns a distinct directory
+/// (monotonic suffix), so a re-executed task never overwrites run files a
+/// stale bucket still references.
+Result<std::string> NewSpillDir(const std::string& label,
+                                const std::string& parent = "");
 
 }  // namespace mrs

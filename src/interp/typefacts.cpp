@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <sstream>
-
-#include "common/strings.h"
 
 namespace mrs {
 namespace minipy {
@@ -166,34 +163,6 @@ ValueType TypeOf(const PyValue& v) {
     case PyValue::Type::kList: return ValueType::kList;
   }
   return ValueType::kTop;
-}
-
-char TypeChar(ValueType t) {
-  switch (t) {
-    case ValueType::kBottom: return 'B';
-    case ValueType::kNone: return 'N';
-    case ValueType::kBool: return 'b';
-    case ValueType::kInt: return 'i';
-    case ValueType::kFloat: return 'f';
-    case ValueType::kStr: return 's';
-    case ValueType::kList: return 'l';
-    case ValueType::kTop: return 'T';
-  }
-  return '?';
-}
-
-bool TypeFromChar(char c, ValueType* out) {
-  switch (c) {
-    case 'B': *out = ValueType::kBottom; return true;
-    case 'N': *out = ValueType::kNone; return true;
-    case 'b': *out = ValueType::kBool; return true;
-    case 'i': *out = ValueType::kInt; return true;
-    case 'f': *out = ValueType::kFloat; return true;
-    case 's': *out = ValueType::kStr; return true;
-    case 'l': *out = ValueType::kList; return true;
-    case 'T': *out = ValueType::kTop; return true;
-    default: return false;
-  }
 }
 
 std::string_view TypeDisplayName(ValueType t) {
@@ -639,168 +608,6 @@ Result<TransferStep> TransferInstruction(const CompiledModule& module,
     }
   }
   return step;
-}
-
-// ---------------------------------------------------------------------------
-// Serialization.
-
-namespace {
-
-std::string TypesString(const std::vector<ValueType>& types) {
-  if (types.empty()) return "-";
-  std::string out;
-  out.reserve(types.size());
-  for (ValueType t : types) out.push_back(TypeChar(t));
-  return out;
-}
-
-bool ParseTypesString(std::string_view s, std::vector<ValueType>* out) {
-  out->clear();
-  if (s == "-") return true;
-  for (char c : s) {
-    ValueType t;
-    if (!TypeFromChar(c, &t)) return false;
-    out->push_back(t);
-  }
-  return true;
-}
-
-Status ParseError(int line_no, const std::string& what) {
-  return InvalidArgumentError("type facts parse: line " +
-                              std::to_string(line_no) + ": " + what);
-}
-
-}  // namespace
-
-std::string SerializeTypeFacts(const TypeFactTable& table) {
-  std::string out = "mrstf1 " + std::to_string(table.functions.size()) + "\n";
-  for (size_t i = 0; i < table.functions.size(); ++i) {
-    const FunctionFacts& f = table.functions[i];
-    out += "fn " + std::to_string(i) + " params=" + TypesString(f.params) +
-           " ret=" + std::string(1, TypeChar(f.ret)) + " globals=";
-    if (f.global_reads.empty()) {
-      out += "-";
-    } else {
-      for (size_t g = 0; g < f.global_reads.size(); ++g) {
-        if (g > 0) out += ",";
-        out += std::to_string(f.global_reads[g].first) + ":" +
-               std::string(1, TypeChar(f.global_reads[g].second));
-      }
-    }
-    out += " rows=" + std::to_string(f.rows.size()) + "\n";
-    for (size_t pc = 0; pc < f.rows.size(); ++pc) {
-      const TypeRow& row = f.rows[pc];
-      if (!row.reachable) continue;
-      out += "pc " + std::to_string(pc) + " L=" + TypesString(row.locals) +
-             " S=" + TypesString(row.stack) + "\n";
-    }
-  }
-  return out;
-}
-
-Result<TypeFactTable> ParseTypeFacts(std::string_view text) {
-  std::istringstream stream{std::string(text)};
-  std::string line;
-  int line_no = 0;
-  auto next_line = [&]() -> bool {
-    while (std::getline(stream, line)) {
-      ++line_no;
-      if (!line.empty()) return true;
-    }
-    return false;
-  };
-
-  if (!next_line()) return ParseError(line_no, "empty input");
-  std::istringstream header(line);
-  std::string magic;
-  size_t nfuncs = 0;
-  if (!(header >> magic >> nfuncs) || magic != "mrstf1") {
-    return ParseError(line_no, "bad header (want 'mrstf1 <nfuncs>')");
-  }
-
-  TypeFactTable table;
-  table.functions.resize(nfuncs);
-  bool have_line = next_line();
-  for (size_t i = 0; i < nfuncs; ++i) {
-    if (!have_line) return ParseError(line_no, "missing fn record");
-    std::istringstream fn_line(line);
-    std::string tag, params_kv, ret_kv, globals_kv, rows_kv;
-    size_t idx = 0;
-    if (!(fn_line >> tag >> idx >> params_kv >> ret_kv >> globals_kv >>
-          rows_kv) ||
-        tag != "fn" || idx != i) {
-      return ParseError(line_no, "bad fn record");
-    }
-    auto value_of = [&](const std::string& kv, const char* key,
-                        std::string* out) -> bool {
-      std::string prefix = std::string(key) + "=";
-      if (kv.rfind(prefix, 0) != 0) return false;
-      *out = kv.substr(prefix.size());
-      return true;
-    };
-    FunctionFacts& f = table.functions[i];
-    std::string params_s, ret_s, globals_s, rows_s;
-    if (!value_of(params_kv, "params", &params_s) ||
-        !value_of(ret_kv, "ret", &ret_s) ||
-        !value_of(globals_kv, "globals", &globals_s) ||
-        !value_of(rows_kv, "rows", &rows_s)) {
-      return ParseError(line_no, "bad fn record fields");
-    }
-    if (!ParseTypesString(params_s, &f.params)) {
-      return ParseError(line_no, "bad params types");
-    }
-    if (ret_s.size() != 1 || !TypeFromChar(ret_s[0], &f.ret)) {
-      return ParseError(line_no, "bad ret type");
-    }
-    if (globals_s != "-") {
-      for (std::string_view part : SplitChar(globals_s, ',')) {
-        size_t colon = part.find(':');
-        if (colon == std::string_view::npos || colon + 2 != part.size()) {
-          return ParseError(line_no, "bad globals entry");
-        }
-        auto slot = ParseInt64(part.substr(0, colon));
-        ValueType t;
-        if (!slot.has_value() || !TypeFromChar(part[colon + 1], &t)) {
-          return ParseError(line_no, "bad globals entry");
-        }
-        f.global_reads.emplace_back(static_cast<int32_t>(*slot), t);
-      }
-    }
-    auto nrows = ParseInt64(rows_s);
-    if (!nrows.has_value() || *nrows < 0 || *nrows > (1 << 24)) {
-      return ParseError(line_no, "bad rows count");
-    }
-    f.rows.resize(static_cast<size_t>(*nrows));
-
-    // pc rows until the next "fn" line or EOF.
-    while ((have_line = next_line())) {
-      if (line.rfind("fn ", 0) == 0) break;
-      std::istringstream pc_line(line);
-      std::string pc_tag, locals_kv, stack_kv;
-      int64_t pc = -1;
-      if (!(pc_line >> pc_tag >> pc >> locals_kv >> stack_kv) ||
-          pc_tag != "pc") {
-        return ParseError(line_no, "bad pc record");
-      }
-      if (pc < 0 || static_cast<size_t>(pc) >= f.rows.size()) {
-        return ParseError(line_no, "pc out of range");
-      }
-      std::string locals_s, stack_s;
-      if (!value_of(locals_kv, "L", &locals_s) ||
-          !value_of(stack_kv, "S", &stack_s)) {
-        return ParseError(line_no, "bad pc record fields");
-      }
-      TypeRow& row = f.rows[static_cast<size_t>(pc)];
-      if (row.reachable) return ParseError(line_no, "duplicate pc record");
-      row.reachable = true;
-      if (!ParseTypesString(locals_s, &row.locals) ||
-          !ParseTypesString(stack_s, &row.stack)) {
-        return ParseError(line_no, "bad pc types");
-      }
-    }
-  }
-  if (have_line) return ParseError(line_no, "trailing fn record");
-  return table;
 }
 
 // ---------------------------------------------------------------------------

@@ -68,10 +68,6 @@ inline bool TypeLe(ValueType a, ValueType b) {
 
 ValueType TypeOf(const PyValue& v);
 
-/// One char per lattice element (serialized form): B ⊥, N None, b bool,
-/// i int, f float, s str, l list, T ⊤.
-char TypeChar(ValueType t);
-bool TypeFromChar(char c, ValueType* out);
 std::string_view TypeDisplayName(ValueType t);  // "int", "float", ...
 
 // ---------------------------------------------------------------------------
@@ -196,13 +192,6 @@ Result<TransferStep> TransferInstruction(const CompiledModule& module,
                                          const CompiledFunction& fn, int pc,
                                          const AbstractState& in,
                                          const TransferHooks& hooks);
-
-// ---------------------------------------------------------------------------
-// Serialization (the interchange form "hand-edited tables" attack, and
-// what tests mutate).  Text, line-oriented, header "mrstf1".
-
-std::string SerializeTypeFacts(const TypeFactTable& table);
-Result<TypeFactTable> ParseTypeFacts(std::string_view text);
 
 /// Linear, non-fixpoint re-check of every claim in `table` against
 /// `module` (which must already be bytecode-verified).  O(code size ×

@@ -6,7 +6,6 @@
 #include "common/clock.h"
 #include "common/log.h"
 #include "core/job.h"
-#include "core/mock_runner.h"
 #include "core/serial_runner.h"
 #include "core/thread_runner.h"
 #include "fs/file_io.h"
@@ -19,48 +18,9 @@ namespace mrs {
 
 namespace {
 
-Status RunSerial(MapReduce* program) {
-  Job job(program, std::make_unique<SerialRunner>(program));
-  int parallel = static_cast<int>(program->opts().GetInt("mrs-num-slaves", 2) *
-                                  program->opts().GetInt("mrs-tasks-per-slave", 2));
-  job.set_default_parallelism(parallel);
-  return program->Run(job);
-}
-
-Status RunThread(MapReduce* program, int num_workers) {
-  Job job(program,
-          std::make_unique<ThreadRunner>(program, num_workers,
-                                         /*morsel_records=*/-1));
-  // Task decomposition must match the serial runner (same default split
-  // count) so output layout is identical regardless of worker count.
-  int parallel = static_cast<int>(program->opts().GetInt("mrs-num-slaves", 2) *
-                                  program->opts().GetInt("mrs-tasks-per-slave", 2));
-  job.set_default_parallelism(parallel);
-  return program->Run(job);
-}
-
-Status RunMockParallel(MapReduce* program) {
-  std::string tmpdir = program->opts().GetString("mrs-tmpdir");
-  bool fresh = tmpdir.empty();
-  if (fresh) {
-    MRS_ASSIGN_OR_RETURN(tmpdir, MakeTempDir("mrs_mock_"));
-  } else {
-    MRS_RETURN_IF_ERROR(EnsureDir(tmpdir));
-  }
-  Status status;
-  {
-    Job job(program, std::make_unique<MockParallelRunner>(program, tmpdir));
-    int parallel = static_cast<int>(
-        program->opts().GetInt("mrs-num-slaves", 2) *
-        program->opts().GetInt("mrs-tasks-per-slave", 2));
-    job.set_default_parallelism(parallel);
-    status = program->Run(job);
-  }
-  if (fresh) RemoveTree(tmpdir);
-  return status;
-}
-
-/// Elasticity/health flags -> Master::Config.
+/// Elasticity/health flags -> Master::Config.  Each default equals the
+/// Master::Config default, so a program whose options lack the flags (any
+/// library caller of RunProgram) keeps the stock config.
 void ApplyMasterOptions(const Options& opts, Master::Config* config) {
   config->slave_timeout = opts.GetDouble("mrs-slave-timeout", 15.0);
   config->missed_ping_limit =
@@ -77,24 +37,6 @@ void ApplyMasterOptions(const Options& opts, Master::Config* config) {
 void ApplySlaveOptions(const Options& opts, Slave::Config* config) {
   config->ping_interval = opts.GetDouble("mrs-ping-interval", 2.0);
   config->shared_dir = opts.GetString("mrs-shared-dir");
-}
-
-Status RunMasterSlave(const ProgramFactory& factory, MapReduce* program) {
-  ClusterLauncher::Config config;
-  config.num_slaves =
-      static_cast<int>(program->opts().GetInt("mrs-num-slaves", 2));
-  ApplyMasterOptions(program->opts(), &config.master);
-  ApplySlaveOptions(program->opts(), &config.slave);
-  MRS_ASSIGN_OR_RETURN(
-      std::unique_ptr<ClusterLauncher> cluster,
-      ClusterLauncher::Start(factory, program->opts(), config));
-
-  Job job(program, std::make_unique<MasterRunner>(&cluster->master()));
-  job.set_default_parallelism(static_cast<int>(
-      config.num_slaves * program->opts().GetInt("mrs-tasks-per-slave", 2)));
-  Status status = program->Run(job);
-  cluster->Shutdown();
-  return status;
 }
 
 Status RunMasterProcess(MapReduce* program) {
@@ -146,26 +88,29 @@ Status RunSlaveProcess(MapReduce* program) {
 
 Status RunProgram(const ProgramFactory& factory, MapReduce* program,
                   const RunConfig& config) {
-  if (config.impl == "serial") return RunSerial(program);
-  if (config.impl == "thread") {
-    Job job(program,
-            std::make_unique<ThreadRunner>(program, config.num_workers,
-                                           config.morsel_records));
+  // Every implementation gets the same default split count, so the task
+  // decomposition (and the answer's layout) never depends on the runner.
+  auto run = [&](std::unique_ptr<Runner> runner) {
+    Job job(program, std::move(runner));
     job.set_default_parallelism(config.num_slaves * config.tasks_per_slave);
     return program->Run(job);
+  };
+  if (config.impl == "serial") {
+    return run(std::make_unique<SerialRunner>(program));
+  }
+  if (config.impl == "thread") {
+    return run(std::make_unique<ThreadRunner>(program, config.num_workers,
+                                              config.morsel_records));
   }
   if (config.impl == "mockparallel") {
     std::string tmpdir = config.tmpdir;
     bool fresh = tmpdir.empty();
     if (fresh) {
       MRS_ASSIGN_OR_RETURN(tmpdir, MakeTempDir("mrs_mock_"));
+    } else {
+      MRS_RETURN_IF_ERROR(EnsureDir(tmpdir));
     }
-    Status status;
-    {
-      Job job(program, std::make_unique<MockParallelRunner>(program, tmpdir));
-      job.set_default_parallelism(config.num_slaves * config.tasks_per_slave);
-      status = program->Run(job);
-    }
+    Status status = run(std::make_unique<SerialRunner>(program, tmpdir));
     if (fresh) RemoveTree(tmpdir);
     return status;
   }
@@ -173,6 +118,8 @@ Status RunProgram(const ProgramFactory& factory, MapReduce* program,
     ClusterLauncher::Config cluster_config;
     cluster_config.num_slaves = config.num_slaves;
     cluster_config.first_slave_faults = config.first_slave_faults;
+    ApplyMasterOptions(program->opts(), &cluster_config.master);
+    ApplySlaveOptions(program->opts(), &cluster_config.slave);
     if (config.shared_files) {
       MRS_ASSIGN_OR_RETURN(cluster_config.slave.shared_dir,
                            MakeTempDir("mrs_shared_"));
@@ -180,9 +127,7 @@ Status RunProgram(const ProgramFactory& factory, MapReduce* program,
     MRS_ASSIGN_OR_RETURN(
         std::unique_ptr<ClusterLauncher> cluster,
         ClusterLauncher::Start(factory, program->opts(), cluster_config));
-    Job job(program, std::make_unique<MasterRunner>(&cluster->master()));
-    job.set_default_parallelism(config.num_slaves * config.tasks_per_slave);
-    Status status = program->Run(job);
+    Status status = run(std::make_unique<MasterRunner>(&cluster->master()));
     cluster->Shutdown();
     if (config.shared_files) {
       RemoveTree(cluster_config.slave.shared_dir);
@@ -245,15 +190,16 @@ int RunMain(const ProgramFactory& factory, int argc,
   std::string impl = opts->GetString("mrs-impl", "serial");
   Stopwatch watch;
   Status status;
-  if (impl == "serial") {
-    status = RunSerial(program.get());
-  } else if (impl == "thread") {
-    status = RunThread(program.get(),
-                       static_cast<int>(opts->GetInt("mrs-workers", 0)));
-  } else if (impl == "mockparallel") {
-    status = RunMockParallel(program.get());
-  } else if (impl == "masterslave") {
-    status = RunMasterSlave(factory, program.get());
+  if (impl == "serial" || impl == "thread" || impl == "mockparallel" ||
+      impl == "masterslave") {
+    RunConfig config;
+    config.impl = impl;
+    config.num_slaves = static_cast<int>(opts->GetInt("mrs-num-slaves", 2));
+    config.tasks_per_slave =
+        static_cast<int>(opts->GetInt("mrs-tasks-per-slave", 2));
+    config.num_workers = static_cast<int>(opts->GetInt("mrs-workers", 0));
+    config.tmpdir = opts->GetString("mrs-tmpdir");
+    status = RunProgram(factory, program.get(), config);
   } else if (impl == "master") {
     status = RunMasterProcess(program.get());
   } else if (impl == "slave") {

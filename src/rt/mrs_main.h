@@ -52,7 +52,11 @@ struct RunConfig {
   int first_slave_faults = 0;    // masterslave fault injection
 };
 
-/// Run `program` (already Init()ed) under the given implementation.
+/// Run `program` (already Init()ed) under the given implementation.  Every
+/// implementation takes its default split count, num_slaves ×
+/// tasks_per_slave, from `config`; masterslave also reads the elasticity
+/// flags from program->opts().  RunMain dispatches here for the same four
+/// implementations.
 Status RunProgram(const ProgramFactory& factory, MapReduce* program,
                   const RunConfig& config);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -457,22 +458,9 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
   // Out-of-core execution: when the process memory budget is active,
   // every task attempt gets its own spill directory (a rerun never
   // overwrites run files a published bucket still references).
-  TaskSpillContext spill;
-  const TaskSpillContext* spill_ptr = nullptr;
-  if (MemoryBudget::Process().active()) {
-    Result<std::string> dir = NewSpillDir(
-        "slave" + std::to_string(id_) + "_ds" +
-        std::to_string(assignment.dataset_id) + "_t" +
-        std::to_string(assignment.source) + "_a" +
-        std::to_string(assignment.attempt));
-    if (dir.ok()) {
-      spill.dir = *std::move(dir);
-      spill.id_prefix = std::to_string(assignment.dataset_id) + "/" +
-                        std::to_string(assignment.source);
-      spill.budget = &MemoryBudget::Process();
-      spill_ptr = &spill;
-    }
-  }
+  std::optional<TaskSpillContext> spill = NewTaskSpillContext(
+      "slave" + std::to_string(id_), assignment.dataset_id, assignment.source);
+  const TaskSpillContext* spill_ptr = spill ? &*spill : nullptr;
 
   // Resident input (iterative/BSP): the master either promises this slave
   // still caches the pinned split's decoded records (resident_cached,
@@ -500,8 +488,7 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
     have_resident_input = true;
   }
 
-  Result<std::vector<Bucket>> row_result =
-      [&]() -> Result<std::vector<Bucket>> {
+  auto compute_row = [&]() -> Result<std::vector<Bucket>> {
     if (assignment.kind == DataSetKind::kReduce && spill_ptr != nullptr &&
         assignment.resident_key.empty()) {
       // Budgeted reduce: stage each input part on disk as a sorted run
@@ -514,11 +501,11 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
                              LoadTaskInput({part}, fetch));
         std::stable_sort(recs.begin(), recs.end(), KeyValueLess);
         std::string path =
-            JoinPath(spill.dir, "input_run" + std::to_string(seq) + ".mrsk");
+            JoinPath(spill->dir, "input_run" + std::to_string(seq) + ".mrsk");
         MRS_ASSIGN_OR_RETURN(
             SpillRun run,
             WriteSpillRun(path,
-                          spill.id_prefix + "/in" + std::to_string(seq),
+                          spill->id_prefix + "/in" + std::to_string(seq),
                           recs, /*sorted=*/true));
         ++seq;
         sources.push_back(std::make_unique<SpillRunSource>(std::move(run)));
@@ -542,8 +529,11 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
     }
     return RunTask(*program_, assignment.kind, assignment.options,
                    assignment.num_splits, std::move(input), spill_ptr);
-  }();
-  MRS_ASSIGN_OR_RETURN(std::vector<Bucket> row, std::move(row_result));
+  };
+  // A throw from user code fails this attempt like any other task error,
+  // so the master retries it up to max_task_attempts.
+  MRS_ASSIGN_OR_RETURN(std::vector<Bucket> row,
+                       CatchUserExceptions("task", compute_row));
 
   // Publish each bucket and collect URLs.  A spilled bucket is published
   // run-backed: hosting it costs no memory, and the data plane streams the

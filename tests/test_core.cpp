@@ -1,15 +1,17 @@
 // Tests for the core MapReduce engine: programs, datasets, the shared task
-// executor (sort/group, combiner, partitioning), and the serial and
-// mock-parallel runners.
+// executor (sort/group, combiner, partitioning), and the local runner in
+// its serial and mock-parallel forms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 
 #include "common/strings.h"
 #include "core/job.h"
-#include "core/mock_runner.h"
 #include "core/serial_runner.h"
 #include "fs/file_io.h"
+#include "fs/spill.h"
 #include "obs/metrics.h"
 
 namespace mrs {
@@ -322,7 +324,7 @@ TEST(Runners, MockParallelPersistsIntermediateData) {
   auto tmpdir = MakeTempDir("mrs_core_mock_");
   ASSERT_TRUE(tmpdir.ok());
   {
-    auto runner = std::make_unique<MockParallelRunner>(&p, *tmpdir);
+    auto runner = std::make_unique<SerialRunner>(&p, *tmpdir);
     Job job(&p, std::move(runner));
     job.set_default_parallelism(3);
     DataSetPtr input = job.LocalData(WordInput());
@@ -351,26 +353,80 @@ TEST(Runners, MockParallelMatchesSerialExactly) {
   ASSERT_TRUE(tmpdir.ok());
   auto serial = RunWithRunner(std::make_unique<SerialRunner>(&p1), &p1, 4);
   auto mock = RunWithRunner(
-      std::make_unique<MockParallelRunner>(&p2, *tmpdir), &p2, 4);
+      std::make_unique<SerialRunner>(&p2, *tmpdir), &p2, 4);
   EXPECT_EQ(serial, mock);
   RemoveTree(*tmpdir);
 }
 
 TEST(Runners, DiscardFreesMockParallelFiles) {
-  CountProgram p;
-  ASSERT_TRUE(p.Init(Options()).ok());
-  auto tmpdir = MakeTempDir("mrs_core_discard_");
-  ASSERT_TRUE(tmpdir.ok());
-  auto runner = std::make_unique<MockParallelRunner>(&p, *tmpdir);
-  Job job(&p, std::move(runner));
-  job.set_default_parallelism(2);
-  DataSetPtr input = job.LocalData(WordInput());
-  DataSetPtr mapped = job.MapData(input);
-  ASSERT_TRUE(job.Wait(mapped).ok());
-  EXPECT_FALSE(ListFilesRecursive(*tmpdir)->empty());
-  job.Discard(mapped);
-  EXPECT_TRUE(ListFilesRecursive(*tmpdir)->empty());
-  RemoveTree(*tmpdir);
+  // Unbudgeted, a finished row is persisted as bucket files; under a
+  // 1-byte budget its buckets spill to run files in the dataset's
+  // directory instead.  Either way Discard leaves the tmpdir empty.
+  std::string text;
+  for (int i = 0; i < 20; ++i) {
+    text += "one fish two fish\nred fish blue fish\ntwo if by sea\n";
+  }
+  MemoryBudget& process = MemoryBudget::Process();
+  const int64_t saved_limit = process.limit();
+  for (int64_t budget : {0, 1}) {
+    process.set_limit(budget);
+    CountProgram p;
+    ASSERT_TRUE(p.Init(Options()).ok());
+    auto tmpdir = MakeTempDir("mrs_core_discard_");
+    ASSERT_TRUE(tmpdir.ok());
+    Job job(&p, std::make_unique<SerialRunner>(&p, *tmpdir));
+    job.set_default_parallelism(2);
+    DataSetPtr input = job.LocalData(LinesToRecords(text));
+    DataSetPtr mapped = job.MapData(input);
+    ASSERT_TRUE(job.Wait(mapped).ok()) << "budget=" << budget;
+    auto files = ListFilesRecursive(*tmpdir);
+    ASSERT_TRUE(files.ok());
+    EXPECT_FALSE(files->empty()) << "budget=" << budget;
+    if (budget > 0) {
+      EXPECT_TRUE(std::any_of(files->begin(), files->end(),
+                              [](const std::string& f) {
+                                return EndsWith(f, ".mrsk");
+                              }))
+          << "no spill runs under a 1-byte budget";
+    }
+    job.Discard(mapped);
+    EXPECT_TRUE(ListFilesRecursive(*tmpdir)->empty()) << "budget=" << budget;
+    RemoveTree(*tmpdir);
+  }
+  process.set_limit(saved_limit);
+  process.ResetForTest();
+}
+
+// A task that failed in one Wait runs again in the next, as on the thread
+// runner, so a Wait that returns OK leaves every row complete.
+TEST(Runners, FailedTaskRunsAgainOnTheNextWait) {
+  for (bool mock : {false, true}) {
+    SCOPED_TRACE(mock ? "mockparallel" : "serial");
+    CountProgram p;
+    ASSERT_TRUE(p.Init(Options()).ok());
+    auto dir = MakeTempDir("mrs_core_rerun_");
+    auto tmpdir = MakeTempDir("mrs_core_rerun_mock_");
+    ASSERT_TRUE(dir.ok() && tmpdir.ok());
+    const std::string missing = JoinPath(*dir, "b.txt");
+    ASSERT_TRUE(WriteFileAtomic(JoinPath(*dir, "a.txt"), "alpha beta\n").ok());
+    ASSERT_TRUE(WriteFileAtomic(missing, "gamma\n").ok());
+
+    Job job(&p, std::make_unique<SerialRunner>(&p, mock ? *tmpdir : ""));
+    auto input = job.FileData({*dir});
+    ASSERT_TRUE(input.ok());
+    DataSetPtr mapped = job.MapData(*input);
+    ASSERT_EQ(std::remove(missing.c_str()), 0);
+    EXPECT_FALSE(job.Wait(mapped).ok());
+
+    ASSERT_TRUE(WriteFileAtomic(missing, "gamma\n").ok());
+    ASSERT_TRUE(job.Wait(mapped).ok());
+    EXPECT_TRUE(mapped->Complete());
+    auto out = job.Collect(mapped);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->size(), 3u);
+    RemoveTree(*dir);
+    RemoveTree(*tmpdir);
+  }
 }
 
 TEST(Runners, FileDataReadsNestedDirectories) {

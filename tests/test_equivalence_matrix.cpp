@@ -6,12 +6,15 @@
 // WordCount and π additionally sweep the reduce partition count (1, 2,
 // and 7) since the partition function must not change the answer, only
 // its layout.  The thread runner gets an extra sweep over worker counts
-// (1 and 4): pool size affects scheduling only, never the answer.
+// (1 and 4): pool size affects scheduling only, never the answer.  Failure
+// is part of the contract too: a map that throws fails the run with the
+// same named Status on every runner instead of killing the process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -485,6 +488,43 @@ TEST(SpillSweep, DistSortAllRunnersUnderAllSpillBudget) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->fingerprints[0].second,
             EncodeTextRecords(reference.ExpectedOutput()));
+}
+
+// ---- User exceptions ----------------------------------------------------
+
+class ThrowingWordCount : public MatrixWordCount {
+ public:
+  bool non_standard = false;
+
+  void Map(const Value&, const Value&, const Emitter&) override {
+    if (non_standard) throw 42;  // not derived from std::exception
+    throw std::runtime_error("map exploded");
+  }
+};
+
+TEST(EquivalenceMatrix, ThrowingMapFailsWithTheSameStatusOnEveryRunner) {
+  for (bool non_standard : {false, true}) {
+    const std::string want = non_standard
+                                 ? "uncaught non-standard exception in task"
+                                 : "uncaught exception in task: map exploded";
+    ProgramFactory factory = [non_standard] {
+      auto p = std::make_unique<ThrowingWordCount>();
+      p->non_standard = non_standard;
+      return std::unique_ptr<MapReduce>(std::move(p));
+    };
+    for (const char* impl :
+         {"serial", "mockparallel", "thread", "masterslave"}) {
+      std::unique_ptr<MapReduce> program = factory();
+      ASSERT_TRUE(program->Init(Options()).ok());
+      RunConfig config;
+      config.impl = impl;
+      Status status = RunProgram(factory, program.get(), config);
+      EXPECT_EQ(status.code(), StatusCode::kInternal)
+          << impl << ": " << status.ToString();
+      EXPECT_NE(status.message().find(want), std::string::npos)
+          << impl << ": " << status.ToString();
+    }
+  }
 }
 
 }  // namespace

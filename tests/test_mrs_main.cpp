@@ -9,6 +9,7 @@
 #include "fs/file_io.h"
 #include "halton/pi_program.h"
 #include "rt/mrs_main.h"
+#include "ser/record.h"
 
 namespace mrs {
 namespace {
@@ -69,6 +70,40 @@ TEST(MrsMain, SlaveWithoutMasterFails) {
 
 TEST(MrsMain, HelpExitsCleanly) {
   EXPECT_EQ(RunWithArgs({"--help"}), 0);
+}
+
+// Records the split count a reduce gets when it asks for the default.
+class SplitCounter : public MapReduce {
+ public:
+  int reduce_splits = 0;
+
+  void Map(const Value& key, const Value& value,
+           const Emitter& emit) override {
+    emit(key, value);
+  }
+  Status Run(Job& job) override {
+    DataSetPtr input = job.LocalData(LinesToRecords("a\nb\nc\nd\n"));
+    DataSetPtr reduced = job.ReduceData(job.MapData(input));
+    reduce_splits = reduced->num_splits();
+    return job.Collect(reduced).status();
+  }
+};
+
+TEST(MrsMain, RunProgramTakesParallelismFromItsConfig) {
+  for (const char* impl :
+       {"serial", "mockparallel", "thread", "masterslave"}) {
+    SplitCounter program;
+    ASSERT_TRUE(program.Init(Options()).ok());
+    RunConfig config;
+    config.impl = impl;
+    config.num_slaves = 3;
+    config.tasks_per_slave = 1;
+    Status status = RunProgram(
+        [] { return std::unique_ptr<MapReduce>(new SplitCounter()); },
+        &program, config);
+    ASSERT_TRUE(status.ok()) << impl << ": " << status.ToString();
+    EXPECT_EQ(program.reduce_splits, 3) << impl;
+  }
 }
 
 // ---- PiEstimator equivalence (per engine, per implementation) ----------

@@ -8,7 +8,6 @@
 
 #include "common/strings.h"
 #include "core/job.h"
-#include "core/mock_runner.h"
 #include "core/serial_runner.h"
 #include "fs/file_io.h"
 #include "rt/mrs_main.h"
@@ -74,7 +73,7 @@ TEST(SmokePipeline, MockParallelMatchesSerial) {
   Result<std::string> tmpdir = MakeTempDir("mrs_test_mock_");
   ASSERT_TRUE(tmpdir.ok());
 
-  Job job(&program, std::make_unique<MockParallelRunner>(&program, *tmpdir));
+  Job job(&program, std::make_unique<SerialRunner>(&program, *tmpdir));
   job.set_default_parallelism(3);
   DataSetPtr input = job.LocalData(SampleInput());
   DataSetPtr mapped = job.MapData(input);

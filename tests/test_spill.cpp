@@ -24,12 +24,14 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/strings.h"
+#include "core/task.h"
 #include "fs/bucket.h"
 #include "fs/file_io.h"
 #include "fs/merge.h"
@@ -309,6 +311,26 @@ TEST(SpillDirs, NewSpillDirNeverReusesADirectory) {
   EXPECT_NE(*a, *b);  // a re-executed task never clobbers stale run files
   EXPECT_TRUE(IsDirectory(*a));
   EXPECT_TRUE(IsDirectory(*b));
+}
+
+TEST(SpillDirs, TaskSpillContextExistsOnlyUnderAnActiveBudget) {
+  MemoryBudget& process = MemoryBudget::Process();
+  const int64_t saved = process.limit();
+  auto parent = MakeTempDir("mrs_spill_parent_");
+  ASSERT_TRUE(parent.ok());
+  process.set_limit(0);
+  EXPECT_FALSE(NewTaskSpillContext("test", 7, 3, *parent).has_value());
+  process.set_limit(1 << 20);
+  std::optional<TaskSpillContext> spill =
+      NewTaskSpillContext("test", 7, 3, *parent);
+  ASSERT_TRUE(spill.has_value());
+  EXPECT_TRUE(spill->enabled());
+  process.set_limit(saved);
+  EXPECT_EQ(spill->id_prefix, "7/3");  // frames are "<dataset>/<source>/..."
+  EXPECT_TRUE(StartsWith(spill->dir, JoinPath(*parent, "test_ds7_t3_")))
+      << spill->dir;
+  EXPECT_TRUE(IsDirectory(spill->dir));
+  RemoveTree(*parent);
 }
 
 // ---- External merge property tests ---------------------------------------
