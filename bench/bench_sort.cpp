@@ -2,10 +2,12 @@
 // memory budget a fraction of the dataset size.
 //
 // The run is a validation as much as a measurement: every budgeted run
-// must (a) actually spill (mrs.spill.bytes_spilled grows), and (b) produce
+// must (a) actually spill (mrs.spill.bytes_spilled grows), (b) produce
 // output byte-identical to both the unbudgeted run and a plain std::sort
-// ground truth.  The dataset is 8x the memory budget, so the shuffle
-// cannot complete without the spill-to-disk tier.
+// ground truth, and (c) create no more spill files than it ran task
+// attempts (each attempt appends all its runs to one file).  The dataset
+// is 8x the memory budget, so the shuffle cannot complete without the
+// spill-to-disk tier.
 //
 // Usage: bench_sort [records_per_task=2000] [tasks=8]
 #include <cstdio>
@@ -29,8 +31,21 @@ struct SortRunResult {
   bool identical = false;
   int64_t spilled_bytes = 0;
   int64_t runs_written = 0;
+  int64_t files_created = 0;
+  int64_t task_attempts = 0;
   size_t records = 0;
 };
+
+/// Task attempts so far, summed over the runners' task counters (one
+/// runner runs per cell).
+int64_t TaskAttempts() {
+  int64_t n = 0;
+  for (const char* name : {"mrs.serial.tasks", "mrs.mock.tasks",
+                           "mrs.thread.tasks", "mrs.master.tasks_assigned"}) {
+    n += obs::Registry::Instance().GetCounter(name)->value();
+  }
+  return n;
+}
 
 SortRunResult RunSort(const std::string& impl,
                       const sort::DistSortConfig& cfg, int64_t budget,
@@ -44,8 +59,12 @@ SortRunResult RunSort(const std::string& impl,
       obs::Registry::Instance().GetCounter("mrs.spill.bytes_spilled");
   obs::Counter* runs =
       obs::Registry::Instance().GetCounter("mrs.spill.runs_written");
+  obs::Counter* files =
+      obs::Registry::Instance().GetCounter("mrs.spill.files_created");
   int64_t spilled_before = spilled->value();
   int64_t runs_before = runs->value();
+  int64_t files_before = files->value();
+  int64_t attempts_before = TaskAttempts();
 
   MemoryBudget::Process().set_limit(budget);
   RunConfig config;
@@ -69,6 +88,8 @@ SortRunResult RunSort(const std::string& impl,
   }
   r.spilled_bytes = spilled->value() - spilled_before;
   r.runs_written = runs->value() - runs_before;
+  r.files_created = files->value() - files_before;
+  r.task_attempts = TaskAttempts() - attempts_before;
   r.identical = program.result == expected;
   r.records = program.result.size();
   return r;
@@ -113,7 +134,8 @@ int main(int argc, char** argv) {
   };
 
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({"run", "seconds", "identical", "spilled bytes", "runs"});
+  rows.push_back({"run", "seconds", "identical", "spilled bytes", "runs",
+                  "spill files", "attempts"});
   std::vector<bench::BenchMetric> metrics = {
       {"dataset_bytes", static_cast<double>(dataset_bytes)},
       {"budget_bytes", static_cast<double>(budget)},
@@ -123,18 +145,23 @@ int main(int argc, char** argv) {
   for (const Cell& cell : cells) {
     SortRunResult r = RunSort(cell.impl, cfg, cell.budget, expected);
     bool budgeted = cell.budget > 0;
-    bool cell_ok =
-        r.seconds >= 0 && r.identical && (!budgeted || r.spilled_bytes > 0);
+    bool cell_ok = r.seconds >= 0 && r.identical &&
+                   (!budgeted || r.spilled_bytes > 0) &&
+                   r.files_created <= r.task_attempts;
     ok = ok && cell_ok;
     rows.push_back({cell.label, bench::Fmt("%.3f", r.seconds),
                     r.identical ? "yes" : "NO",
                     std::to_string(r.spilled_bytes),
-                    std::to_string(r.runs_written)});
+                    std::to_string(r.runs_written),
+                    std::to_string(r.files_created),
+                    std::to_string(r.task_attempts)});
     std::string tag = std::string(cell.impl) + (budgeted ? "_budgeted" : "");
     metrics.push_back({tag + "_s", r.seconds});
     metrics.push_back({tag + "_identical", r.identical ? 1.0 : 0.0});
     metrics.push_back({tag + "_spilled_bytes",
                        static_cast<double>(r.spilled_bytes)});
+    metrics.push_back({tag + "_spill_files",
+                       static_cast<double>(r.files_created)});
   }
   bench::PrintTable(
       "Out-of-core sort: budget = dataset/8, output vs std::sort ground "
@@ -143,8 +170,8 @@ int main(int argc, char** argv) {
   bench::EmitBenchJson("bench_sort", metrics);
   if (!ok) {
     std::fprintf(stderr,
-                 "bench_sort: FAILED (non-identical output or no spill in a "
-                 "budgeted run)\n");
+                 "bench_sort: FAILED (non-identical output, no spill in a "
+                 "budgeted run, or more spill files than task attempts)\n");
     return 1;
   }
   return 0;

@@ -1,9 +1,11 @@
 #include "core/dataset.h"
 
 #include <cassert>
+#include <cstdio>
+#include <set>
 #include <string>
 
-#include "fs/file_io.h"
+#include "common/log.h"
 #include "fs/spill.h"
 
 namespace mrs {
@@ -31,11 +33,25 @@ DataSet::DataSet(int id, DataSetKind kind, int num_sources, int num_splits)
   row_charged_.assign(num_sources, 0);
 }
 
+namespace {
+
+/// Delete every file that holds a spill run of `grid`.
+void RemoveSpillFiles(const std::vector<Bucket>& grid) {
+  std::set<std::string> files;
+  for (const Bucket& b : grid) {
+    for (const SpillRun& run : b.spill_runs()) files.insert(run.path);
+  }
+  for (const std::string& file : files) std::remove(file.c_str());
+}
+
+}  // namespace
+
 DataSet::~DataSet() {
   MutexLock lock(mutex_);
   for (int64_t charged : row_charged_) {
     MemoryBudget::Process().Release(charged);
   }
+  RemoveSpillFiles(grid_);
 }
 
 // The grid vector is sized in the constructor and never resized, so bucket
@@ -57,7 +73,8 @@ const Bucket& DataSet::bucket(int source, int split) const {
   return grid_[GridIndex(source, split)];
 }
 
-void DataSet::SetRow(int source, std::vector<Bucket> row) {
+void DataSet::SetRow(int source, std::vector<Bucket> row,
+                     SpillFile* spill_file) {
   assert(static_cast<int>(row.size()) == num_splits_);
   MutexLock lock(mutex_);
   MemoryBudget& budget = MemoryBudget::Process();
@@ -81,25 +98,26 @@ void DataSet::SetRow(int source, std::vector<Bucket> row) {
   budget.Release(row_charged_[source]);
   row_charged_[source] = 0;
   budget.Charge(bytes);
-  if (budget.ShouldSpill()) {
-    Result<std::string> dir = NewSpillDir(
-        "ds" + std::to_string(id_) + "_row" + std::to_string(source));
-    if (dir.ok()) {
-      bool sorted = kind_ == DataSetKind::kMap;
-      int64_t still_held = 0;
-      for (int p = 0; p < num_splits_; ++p) {
-        Bucket& b = grid_[GridIndex(source, p)];
-        if (b.records().empty()) continue;
-        std::string id = std::to_string(id_) + "/" + std::to_string(source) +
-                         "/" + std::to_string(p);
-        Status st = b.SpillToRun(
-            JoinPath(*dir, "row_p" + std::to_string(p) + ".mrsk"), id, sorted);
-        // On spill failure (disk full, ...) the records simply stay in
-        // memory: over-budget but correct.
-        if (!st.ok()) still_held += static_cast<int64_t>(b.ApproxMemoryBytes());
-      }
-      budget.Release(bytes - still_held);
-      bytes = still_held;
+  if (spill_file != nullptr && budget.ShouldSpill()) {
+    bool sorted = kind_ == DataSetKind::kMap;
+    int64_t still_held = 0;
+    for (int p = 0; p < num_splits_; ++p) {
+      Bucket& b = grid_[GridIndex(source, p)];
+      if (b.records().empty()) continue;
+      std::string id = std::to_string(id_) + "/" + std::to_string(source) +
+                       "/" + std::to_string(p);
+      Status st = b.SpillToRun(*spill_file, id, sorted);
+      // On spill failure (disk full, ...) the records simply stay in
+      // memory: over-budget but correct.
+      if (!st.ok()) still_held += static_cast<int64_t>(b.ApproxMemoryBytes());
+    }
+    budget.Release(bytes - still_held);
+    bytes = still_held;
+    // The runs are written and readable; a failed fsync only weakens their
+    // crash durability, and a run damaged by it fails its checksum on read.
+    if (Status synced = spill_file->Sync(); !synced.ok()) {
+      MRS_LOG(kWarning, "dataset") << "row spill of dataset " << id_
+                                   << ": " << synced.ToString();
     }
   }
   row_charged_[source] = bytes;
@@ -171,13 +189,14 @@ Status DataSet::rejected_status() const {
   return rejected_status_;
 }
 
-void DataSet::EvictAll() {
+void DataSet::Discard() {
   MutexLock lock(mutex_);
   for (Bucket& b : grid_) b.Evict();
   for (int s = 0; s < num_sources_; ++s) {
     MemoryBudget::Process().Release(row_charged_[s]);
     row_charged_[s] = 0;
   }
+  RemoveSpillFiles(grid_);
 }
 
 }  // namespace mrs

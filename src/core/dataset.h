@@ -98,9 +98,12 @@ class DataSet {
   /// Marks the task complete.  Thread-safe across distinct sources.
   /// Consults the process MemoryBudget: retained in-memory bytes are
   /// charged per row, and when the charge pushes usage over the limit the
-  /// incoming row is spilled to disk (sorted runs for map output, FIFO
-  /// otherwise) before it is stored.
-  void SetRow(int source, std::vector<Bucket> row);
+  /// row's in-memory buckets are appended to `spill_file` — the spill file
+  /// of the attempt that computed the row — as runs (sorted for map
+  /// output, FIFO otherwise), which is then fsynced.  Without a file they
+  /// stay in memory, over budget but correct.
+  void SetRow(int source, std::vector<Bucket> row,
+              SpillFile* spill_file = nullptr);
 
   // ---- Task/completion state ------------------------------------------
 
@@ -135,9 +138,11 @@ class DataSet {
     file_paths_ = std::move(paths);
   }
 
-  /// Drop all in-memory records, keeping urls (Job::Discard drops
-  /// everything).
-  void EvictAll();
+  /// Job::Discard: drop all in-memory records and delete the spill files
+  /// its rows' runs live in.  Urls and run metadata stay, so a late read
+  /// fails instead of seeing an empty bucket.  Destruction deletes the
+  /// spill files too.
+  void Discard();
 
  private:
   int GridIndex(int source, int split) const {

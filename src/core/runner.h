@@ -55,9 +55,9 @@ class Runner {
   /// Implementation name ("serial", "mockparallel", "masterslave").
   virtual std::string name() const = 0;
 
-  /// Called when the program is done with a dataset; runners may release
-  /// persisted intermediate files.
-  virtual void Discard(const DataSetPtr& dataset) { dataset->EvictAll(); }
+  /// Called when the program is done with a dataset; runners release its
+  /// records, spill files and persisted intermediate files.
+  virtual void Discard(const DataSetPtr& dataset) { dataset->Discard(); }
 };
 
 }  // namespace mrs

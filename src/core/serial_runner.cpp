@@ -57,35 +57,38 @@ Status SerialRunner::Wait(const DataSetPtr& dataset) {
     // A task an earlier Wait left failed runs again, as on the thread
     // runner, so Wait returns OK only once every row is complete.
     dataset->set_task_state(source, TaskState::kRunning);
-    Result<std::vector<Bucket>> row = ExecuteTask(*dataset, source, ds_dir);
+    std::optional<TaskSpillContext> spill =
+        NewTaskSpillContext(name(), dataset->id(), source, ds_dir);
+    Result<std::vector<Bucket>> row =
+        ExecuteTask(*dataset, source, spill ? &*spill : nullptr);
     if (!row.ok()) {
       dataset->set_task_state(source, TaskState::kFailed);
       return row.status();
     }
-    dataset->SetRow(source, std::move(row).value());
+    dataset->SetRow(source, std::move(row).value(),
+                    spill ? spill->file.get() : nullptr);
+    if (spill) spill->file->Keep();
     (mock_parallel() ? mock_tasks : serial_tasks)->Inc();
   }
   return Status::Ok();
 }
 
 Result<std::vector<Bucket>> SerialRunner::ExecuteTask(
-    DataSet& dataset, int source, const std::string& ds_dir) {
+    DataSet& dataset, int source, const TaskSpillContext* spill) {
   obs::ScopedSpan span(dataset.options().op_name,
                        dataset.kind() == DataSetKind::kMap ? "map"
                                                            : "reduce");
   span.set_task(dataset.id(), source);
-  std::optional<TaskSpillContext> spill =
-      NewTaskSpillContext(name(), dataset.id(), source, ds_dir);
   MRS_ASSIGN_OR_RETURN(
       std::vector<Bucket> row, CatchUserExceptions("task", [&] {
-        return RunTaskOnDataSet(*program_, dataset, source, LocalFetch,
-                                spill ? &*spill : nullptr);
+        return RunTaskOnDataSet(*program_, dataset, source, LocalFetch, spill);
       }));
   if (!mock_parallel()) return row;
   // Persist each bucket, then drop its records: downstream tasks must read
   // the files, as a distributed fault-tolerant run would.  A spilled
   // bucket is already disk-backed by its runs — persisting it again would
   // defeat the memory bound it exists to honor.
+  const std::string ds_dir = DataSetDir(dataset);
   for (int p = 0; p < dataset.num_splits(); ++p) {
     Bucket& b = row[static_cast<size_t>(p)];
     if (b.spilled()) continue;
@@ -104,7 +107,7 @@ std::string SerialRunner::DataSetDir(const DataSet& dataset) const {
 
 void SerialRunner::Discard(const DataSetPtr& dataset) {
   if (mock_parallel()) RemoveTree(DataSetDir(*dataset));
-  dataset->EvictAll();
+  dataset->Discard();
 }
 
 }  // namespace mrs

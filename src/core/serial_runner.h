@@ -35,8 +35,8 @@ class SerialRunner final : public Runner {
  public:
   /// An empty `tmpdir` selects serial.  Otherwise `tmpdir` must exist and
   /// the runner is mock parallel: intermediate data goes to
-  /// `<tmpdir>/dataset_<id>/source_<s>_split_<p>.mrsb`, and spill runs to
-  /// directories beside those files.
+  /// `<tmpdir>/dataset_<id>/source_<s>_split_<p>.mrsb`, and each task
+  /// attempt's spill file sits beside those files.
   explicit SerialRunner(MapReduce* program, std::string tmpdir = "")
       : program_(program), tmpdir_(std::move(tmpdir)) {}
 
@@ -55,7 +55,7 @@ class SerialRunner final : public Runner {
   /// Run task `source` of `dataset` and, under mock parallel, persist and
   /// evict its buckets.  User exceptions come back as a Status.
   Result<std::vector<Bucket>> ExecuteTask(DataSet& dataset, int source,
-                                          const std::string& ds_dir);
+                                          const TaskSpillContext* spill);
 
   MapReduce* program_;
   std::string tmpdir_;

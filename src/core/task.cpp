@@ -34,13 +34,13 @@ std::optional<TaskSpillContext> NewTaskSpillContext(const std::string& label,
                                                     const std::string& parent) {
   MemoryBudget& budget = MemoryBudget::Process();
   if (!budget.active()) return std::nullopt;
-  Result<std::string> dir = NewSpillDir(
+  Result<std::string> path = NewSpillFilePath(
       label + "_ds" + std::to_string(dataset_id) + "_t" +
           std::to_string(source),
       parent);
-  if (!dir.ok()) return std::nullopt;
+  if (!path.ok()) return std::nullopt;
   return TaskSpillContext{
-      *std::move(dir),
+      std::make_unique<SpillFile>(*std::move(path)),
       std::to_string(dataset_id) + "/" + std::to_string(source), &budget};
 }
 
@@ -75,16 +75,6 @@ Result<std::vector<KeyValue>> FetchUrlRecords(const std::string& url,
                          " bytes: " + decoded.status().message());
   }
   return decoded;
-}
-
-/// Filesystem-safe run file path: "<dir>/<prefix>_p<split>_run<seq>.mrsk".
-std::string RunFilePath(const TaskSpillContext& sc, int split, size_t seq) {
-  std::string name = sc.id_prefix;
-  for (char& c : name) {
-    if (c == '/' || c == ':') c = '_';
-  }
-  return JoinPath(sc.dir, name + "_p" + std::to_string(split) + "_run" +
-                              std::to_string(seq) + ".mrsk");
 }
 
 std::string RunFrameId(const TaskSpillContext& sc, int split) {
@@ -207,7 +197,6 @@ Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
   int64_t charged = 0;
   int64_t pending = 0;
   size_t since_check = 0;
-  size_t run_seq = 0;
   Status spill_status;
 
   // Flush every non-empty partition as one sorted run (combine first when
@@ -222,11 +211,9 @@ Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
             *b.mutable_records(),
             SortGroupApply(std::move(*b.mutable_records()), combiner));
       }
-      MRS_RETURN_IF_ERROR(b.SpillToRun(RunFilePath(*spill, p, run_seq),
-                                       RunFrameId(*spill, p),
-                                       /*sorted=*/true));
+      MRS_RETURN_IF_ERROR(
+          b.SpillToRun(*spill->file, RunFrameId(*spill, p), /*sorted=*/true));
     }
-    ++run_seq;
     spill->budget->Release(charged);
     charged = 0;
     pending = 0;
@@ -266,12 +253,12 @@ Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
     }
     if (b.spilled() && !b.records().empty()) {
       // Tail flush: a spilled bucket leaves the task runs-only.
-      MRS_RETURN_IF_ERROR(b.SpillToRun(RunFilePath(*spill, p, run_seq),
-                                       RunFrameId(*spill, p),
-                                       /*sorted=*/true));
+      MRS_RETURN_IF_ERROR(
+          b.SpillToRun(*spill->file, RunFrameId(*spill, p), /*sorted=*/true));
     }
     if (!b.spilled()) b.MarkLoaded();
   }
+  if (spilling) MRS_RETURN_IF_ERROR(spill->file->Sync());
   return row;
 }
 
@@ -287,7 +274,6 @@ Result<std::vector<Bucket>> ReduceMergedSources(
   std::vector<Bucket> row;
   row.reserve(num_splits);
   for (int p = 0; p < num_splits; ++p) row.emplace_back(0, p);
-  std::vector<size_t> run_seq(static_cast<size_t>(num_splits), 0);
 
   int64_t charged = 0;
   int64_t pending = 0;
@@ -301,9 +287,7 @@ Result<std::vector<Bucket>> ReduceMergedSources(
       Bucket& b = row[static_cast<size_t>(p)];
       if (b.records().empty()) continue;
       MRS_RETURN_IF_ERROR(
-          b.SpillToRun(RunFilePath(*spill, p, run_seq[static_cast<size_t>(p)]),
-                       RunFrameId(*spill, p), /*sorted=*/false));
-      ++run_seq[static_cast<size_t>(p)];
+          b.SpillToRun(*spill->file, RunFrameId(*spill, p), /*sorted=*/false));
     }
     spill->budget->Release(charged);
     charged = 0;
@@ -352,11 +336,11 @@ Result<std::vector<Bucket>> ReduceMergedSources(
     Bucket& b = row[static_cast<size_t>(p)];
     if (b.spilled() && !b.records().empty()) {
       MRS_RETURN_IF_ERROR(
-          b.SpillToRun(RunFilePath(*spill, p, run_seq[static_cast<size_t>(p)]),
-                       RunFrameId(*spill, p), /*sorted=*/false));
+          b.SpillToRun(*spill->file, RunFrameId(*spill, p), /*sorted=*/false));
     }
     if (!b.spilled()) b.MarkLoaded();
   }
+  if (spilling) MRS_RETURN_IF_ERROR(spill->file->Sync());
   return row;
 }
 

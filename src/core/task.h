@@ -27,23 +27,27 @@
 
 namespace mrs {
 
-/// Where and whether a task may spill its output buckets (fs/spill.h).
-/// A null/inactive context reproduces the pre-spill behavior exactly.
+/// Where and whether a task attempt may spill its output buckets
+/// (fs/spill.h).  A null/inactive context reproduces the pre-spill
+/// behavior exactly.
 struct TaskSpillContext {
-  std::string dir;        // existing directory for run files
-  std::string id_prefix;  // frame-id prefix, "<dataset>/<source>"
+  std::unique_ptr<SpillFile> file;  // the attempt's one spill file
+  std::string id_prefix;            // frame-id prefix, "<dataset>/<source>"
   MemoryBudget* budget = nullptr;
 
   bool enabled() const {
-    return budget != nullptr && budget->active() && !dir.empty();
+    return budget != nullptr && budget->active() && file != nullptr;
   }
 };
 
-/// The spill context for one execution of task (`dataset_id`, `source`):
-/// a fresh run directory `<label>_ds<dataset>_t<source>_<n>` under
-/// `parent` (SpillRoot() when empty) and the task's frame-id prefix.
-/// Nullopt when the process MemoryBudget is inactive, or when no directory
-/// could be made — the task then runs in memory, over budget but correct.
+/// The spill context for one attempt of task (`dataset_id`, `source`):
+/// the spill file `<label>_ds<dataset>_t<source>_<n>.mrsk` in `parent`
+/// (SpillRoot() when empty), created by the attempt's first run, and the
+/// task's frame-id prefix.  The file is deleted with the context unless
+/// the runner keeps it (SpillFile::Keep) for the row that references its
+/// runs, so a failed attempt leaves no spill data behind.  Nullopt when
+/// the process MemoryBudget is inactive, or when SpillRoot() cannot be
+/// made — the task then runs in memory, over budget but correct.
 std::optional<TaskSpillContext> NewTaskSpillContext(
     const std::string& label, int dataset_id, int source,
     const std::string& parent = "");
@@ -114,9 +118,10 @@ Result<std::vector<TaskInputPart>> BuildTaskInputParts(DataSet& input_ds,
 /// partitions emitted pairs into `num_splits` buckets, and optionally
 /// applies the combiner per bucket.  Returns the completed bucket row.
 /// With an enabled spill context, partitions that grow past the memory
-/// budget are flushed to disk as sorted runs (combined first when a
-/// combiner is configured — the classic combine-before-spill policy) and
-/// the returned buckets carry runs instead of records.
+/// budget are appended to the attempt's spill file as sorted runs
+/// (combined first when a combiner is configured — the classic
+/// combine-before-spill policy), the returned buckets carry runs instead
+/// of records, and the file is fsynced once before the row is returned.
 Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
                                        const DataSetOptions& options,
                                        int num_splits,
@@ -133,8 +138,9 @@ Result<std::vector<Bucket>> RunReduceTask(
 /// The out-of-core reduce: consumes a (key, value)-sorted merged stream —
 /// never materializing the full input — groups consecutive equal keys,
 /// applies the reduce function, and partitions output into buckets,
-/// spilling them as FIFO runs under budget pressure.  Produces exactly the
-/// rows RunReduceTask would for the same input multiset.
+/// spilling them as FIFO runs under budget pressure and fsyncing the
+/// attempt's spill file once before the row is returned.  Produces exactly
+/// the rows RunReduceTask would for the same input multiset.
 Result<std::vector<Bucket>> ReduceMergedSources(
     MapReduce& program, const DataSetOptions& options, int num_splits,
     std::vector<std::unique_ptr<MergeSource>> sources,

@@ -370,9 +370,16 @@ void ThreadRunner::RunTaskBody(const std::shared_ptr<ChainContext>& ctx,
   if (!ctx->failed.load(std::memory_order_acquire) &&
       stage->ds->TryClaimTask(source)) {
     if (!TryMorselFanOut(ctx, stage, source)) {
-      Result<std::vector<Bucket>> row = ExecuteTask(stage, source);
+      // A failed attempt's spill file goes with its context; a completed
+      // one belongs to the row SetRow stores.
+      std::optional<TaskSpillContext> spill =
+          NewTaskSpillContext(name(), stage->ds->id(), source);
+      Result<std::vector<Bucket>> row =
+          ExecuteTask(stage, source, spill ? &*spill : nullptr);
       if (row.ok()) {
-        CompleteTask(ctx, stage, source, &*row, /*arrivals_delivered=*/false);
+        CompleteTask(ctx, stage, source, &*row, /*arrivals_delivered=*/false,
+                     spill ? spill->file.get() : nullptr);
+        if (spill) spill->file->Keep();
       } else {
         FailTask(ctx, stage, source, row.status());
         CompleteTask(ctx, stage, source, nullptr,
@@ -400,7 +407,8 @@ void ThreadRunner::FailTask(const std::shared_ptr<ChainContext>& ctx,
 void ThreadRunner::CompleteTask(const std::shared_ptr<ChainContext>& ctx,
                                 Stage* stage, int source,
                                 std::vector<Bucket>* row,
-                                bool arrivals_delivered) {
+                                bool arrivals_delivered,
+                                SpillFile* spill_file) {
   Stage* down = stage->downstream;
   int num_splits = stage->ds->num_splits();
   if (down != nullptr && !arrivals_delivered) {
@@ -436,7 +444,7 @@ void ThreadRunner::CompleteTask(const std::shared_ptr<ChainContext>& ctx,
     }
   }
   if (row != nullptr) {
-    stage->ds->SetRow(source, std::move(*row));
+    stage->ds->SetRow(source, std::move(*row), spill_file);
     TasksCounter()->Inc();
   }
   // Stage close: the body that finishes last flushes every worker's
@@ -667,23 +675,19 @@ void ThreadRunner::FinishUnit(const std::shared_ptr<ChainContext>& ctx) {
   }
 }
 
-Result<std::vector<Bucket>> ThreadRunner::ExecuteTask(Stage* stage,
-                                                      int source) {
+Result<std::vector<Bucket>> ThreadRunner::ExecuteTask(
+    Stage* stage, int source, const TaskSpillContext* spill) {
   DataSet& ds = *stage->ds;
   obs::ScopedSpan span(ds.options().op_name,
                        ds.kind() == DataSetKind::kMap ? "map" : "reduce");
   span.set_task(ds.id(), source);
-
-  std::optional<TaskSpillContext> spill =
-      NewTaskSpillContext("thread", ds.id(), source);
-  const TaskSpillContext* spill_ptr = spill ? &*spill : nullptr;
   return CatchUserExceptions("task", [&]() -> Result<std::vector<Bucket>> {
     if (stage->board) {
       return RunTaskOnBuckets(*program_, ds.kind(), ds.options(),
                               ds.num_splits(), stage->board->Take(source),
-                              LocalFetch, spill_ptr);
+                              LocalFetch, spill);
     }
-    return RunTaskOnDataSet(*program_, ds, source, LocalFetch, spill_ptr);
+    return RunTaskOnDataSet(*program_, ds, source, LocalFetch, spill);
   });
 }
 

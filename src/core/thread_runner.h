@@ -97,17 +97,19 @@ class ThreadRunner final : public Runner {
                   int source);
   void RunTaskBody(const std::shared_ptr<ChainContext>& ctx, Stage* stage,
                    int source);
-  Result<std::vector<Bucket>> ExecuteTask(Stage* stage, int source);
+  Result<std::vector<Bucket>> ExecuteTask(Stage* stage, int source,
+                                          const TaskSpillContext* spill);
   /// Record a task failure in the dataset and the chain context.
   void FailTask(const std::shared_ptr<ChainContext>& ctx, Stage* stage,
                 int source, Status status);
   /// Deliver a finished task's row (deposit downstream or enter a worker
   /// combine buffer, record arrivals, SetRow) and run stage-close
   /// bookkeeping.  `row` is null for failed/skipped tasks;
-  /// `arrivals_delivered` marks tasks whose morsels already deposited.
+  /// `arrivals_delivered` marks tasks whose morsels already deposited;
+  /// `spill_file` is the attempt's, for SetRow's over-budget row spill.
   void CompleteTask(const std::shared_ptr<ChainContext>& ctx, Stage* stage,
                     int source, std::vector<Bucket>* row,
-                    bool arrivals_delivered);
+                    bool arrivals_delivered, SpillFile* spill_file = nullptr);
   /// Record `n` deposit-arrivals on every split of `consumer`'s board and
   /// submit the tasks of splits that became ready.
   void Arrive(const std::shared_ptr<ChainContext>& ctx, Stage* consumer,

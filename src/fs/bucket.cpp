@@ -29,12 +29,12 @@ Status Bucket::PersistToFile(const std::string& path) {
   return Status::Ok();
 }
 
-Status Bucket::SpillToRun(const std::string& path, const std::string& id,
+Status Bucket::SpillToRun(SpillFile& file, const std::string& id,
                           bool sorted) {
   if (sorted) {
     std::stable_sort(records_.begin(), records_.end(), KeyValueLess);
   }
-  MRS_ASSIGN_OR_RETURN(SpillRun run, WriteSpillRun(path, id, records_, sorted));
+  MRS_ASSIGN_OR_RETURN(SpillRun run, file.Append(id, records_, sorted));
   spill_runs_.push_back(std::move(run));
   records_.clear();
   records_.shrink_to_fit();

@@ -74,12 +74,12 @@ class Bucket {
   const std::vector<SpillRun>& spill_runs() const { return spill_runs_; }
   void AddSpillRun(SpillRun run) { spill_runs_.push_back(std::move(run)); }
 
-  /// Move current in-memory records to disk as one spill run.  `sorted`
-  /// orders the run by (key, value) before writing (shuffle data: multiset
-  /// semantics, merge-readable); otherwise the run preserves emit order
-  /// (final output: FIFO).  Records are cleared on success.
-  Status SpillToRun(const std::string& path, const std::string& id,
-                    bool sorted);
+  /// Move current in-memory records to disk as one spill run appended to
+  /// `file`.  `sorted` orders the run by (key, value) before writing
+  /// (shuffle data: multiset semantics, merge-readable); otherwise the run
+  /// preserves emit order (final output: FIFO).  Records are cleared on
+  /// success.
+  Status SpillToRun(SpillFile& file, const std::string& id, bool sorted);
 
   /// Estimated in-memory footprint of records_ (budget accounting).
   size_t ApproxMemoryBytes() const;

@@ -37,6 +37,21 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return out;
 }
 
+Result<size_t> ReadAt(int fd, uint64_t offset, char* buf, size_t n) {
+  size_t got = 0;
+  while (got < n) {
+    ssize_t r = ::pread(fd, buf + got, n - got,
+                        static_cast<off_t>(offset + got));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return IoErrorFromErrno("pread", errno);
+    }
+    if (r == 0) break;
+    got += static_cast<size_t>(r);
+  }
+  return got;
+}
+
 namespace {
 bool (*g_write_atomic_fault_hook)(const char* step) = nullptr;
 
@@ -97,14 +112,7 @@ Status WriteFileAtomic(const std::string& path, std::string_view content) {
   }
   // Persist the rename itself: the directory entry lives in the parent
   // directory's data, which has its own cache to flush.
-  std::string dir;
-  if (size_t slash = path.find_last_of('/'); slash == std::string::npos) {
-    dir = ".";
-  } else if (slash == 0) {
-    dir = "/";
-  } else {
-    dir = path.substr(0, slash);
-  }
+  std::string dir = DirName(path);
   int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd < 0) return IoErrorFromErrno("open dir " + dir, errno);
   err = 0;
@@ -237,6 +245,13 @@ Result<std::string> MakeTempDir(const std::string& prefix) {
     return IoErrorFromErrno("mkdtemp " + tmpl, errno);
   }
   return tmpl;
+}
+
+std::string DirName(const std::string& path) {
+  size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
 }
 
 std::string JoinPath(std::string_view a, std::string_view b) {

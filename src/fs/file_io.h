@@ -19,12 +19,19 @@ namespace mrs {
 
 Result<std::string> ReadFileToString(const std::string& path);
 
+/// pread from `fd` until `n` bytes are read or the file ends; returns the
+/// number of bytes read.
+Result<size_t> ReadAt(int fd, uint64_t offset, char* buf, size_t n);
+
 /// Write via a temp file + rename so readers never see partial content.
 /// Durable: the temp fd is fsync'ed before the rename (so a crash after
 /// rename can never expose an empty or partial "atomically written" file)
 /// and the parent directory is fsync'ed after it (so the rename itself
-/// survives a crash) — spill runs and lineage treat these files as
-/// durable recoverable state.
+/// survives a crash).  For files that must survive a crash whole: job
+/// output, the port file, shared-filesystem buckets, mock-parallel rows
+/// and the generated corpus.  Spill runs do not come through here: each
+/// task attempt appends them to one SpillFile (fs/spill.h) and fsyncs it
+/// once.
 Status WriteFileAtomic(const std::string& path, std::string_view content);
 
 /// Test hook simulating crash-window failures inside WriteFileAtomic.
@@ -55,5 +62,8 @@ Result<std::string> MakeTempDir(const std::string& prefix);
 
 /// Join path components with '/' (no normalization).
 std::string JoinPath(std::string_view a, std::string_view b);
+
+/// The directory part of `path`: "." for a bare name, "/" at the root.
+std::string DirName(const std::string& path);
 
 }  // namespace mrs

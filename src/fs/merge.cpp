@@ -1,5 +1,8 @@
 #include "fs/merge.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -8,6 +11,7 @@
 #include "common/bytes.h"
 #include "common/strings.h"
 #include "fs/bucket.h"
+#include "fs/file_io.h"
 #include "obs/metrics.h"
 #include "ser/record.h"
 
@@ -38,16 +42,17 @@ SpillRunSource::SpillRunSource(SpillRun run, size_t buffer_bytes)
     : run_(std::move(run)), buffer_bytes_(std::max<size_t>(buffer_bytes, 4096)) {}
 
 SpillRunSource::~SpillRunSource() {
-  if (file_) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status SpillRunSource::Corrupt(const std::string& what) const {
-  return DataLossError("spill run " + run_.path + ": " + what);
+  return DataLossError("spill run " + run_.path + "@" +
+                       std::to_string(run_.offset) + ": " + what);
 }
 
 Status SpillRunSource::Open() {
-  file_ = std::fopen(run_.path.c_str(), "rb");
-  if (!file_) {
+  fd_ = ::open(run_.path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) {
     if (errno == ENOENT) {
       return NotFoundError("spill run " + run_.path + " missing");
     }
@@ -57,8 +62,11 @@ Status SpillRunSource::Open() {
   // Frame header: magic, varint count (always 1), length-prefixed id and
   // checksum, then the payload length prefix.  Ids and checksums are
   // short, so the first buffer covers the whole header.
-  std::string head(buffer_bytes_, '\0');
-  size_t got = std::fread(head.data(), 1, head.size(), file_);
+  std::string head(static_cast<size_t>(std::min<uint64_t>(buffer_bytes_,
+                                                          run_.length)),
+                   '\0');
+  MRS_ASSIGN_OR_RETURN(size_t got,
+                       ReadAt(fd_, run_.offset, head.data(), head.size()));
   head.resize(got);
   if (!StartsWith(head, kBucketFramesFormat)) {
     return Corrupt("missing mrsk1 magic");
@@ -76,6 +84,9 @@ Status SpillRunSource::Open() {
     return Corrupt("frame checksum does not match run metadata");
   }
   const uint64_t header_size = kBucketFramesFormat.size() + r.position();
+  if (header_size + *payload_len != run_.length) {
+    return Corrupt("frame length does not match the run's byte range");
+  }
 
   // Streaming verification pass: hash the whole payload before emitting a
   // single record, so corruption anywhere in the run is kDataLoss at the
@@ -89,28 +100,26 @@ Status SpillRunSource::Open() {
     hash = Fnv1a64Feed(hash, head.data() + header_size, in_head);
     left -= in_head;
   }
+  uint64_t at = run_.offset + head.size();
   std::string chunk(buffer_bytes_, '\0');
   while (left > 0) {
     size_t want = static_cast<size_t>(
         std::min<uint64_t>(left, chunk.size()));
-    size_t n = std::fread(chunk.data(), 1, want, file_);
+    MRS_ASSIGN_OR_RETURN(size_t n, ReadAt(fd_, at, chunk.data(), want));
     if (n == 0) return Corrupt("truncated payload");
     hash = Fnv1a64Feed(hash, chunk.data(), n);
     left -= n;
-  }
-  if (std::fread(chunk.data(), 1, 1, file_) != 0) {
-    return Corrupt("trailing bytes after frame payload");
+    at += n;
   }
   if (ChecksumString(hash) != *checksum) {
     return Corrupt("payload checksum mismatch");
   }
 
-  // Rewind to the payload and parse its record-stream prelude.
-  if (std::fseek(file_, static_cast<long>(header_size), SEEK_SET) != 0) {
-    return IoError("seek " + run_.path + ": " + std::strerror(errno));
-  }
+  // Back to the payload start, and parse its record-stream prelude.
+  read_offset_ = run_.offset + header_size;
   payload_left_ = *payload_len;
   window_.clear();
+  cursor_ = 0;
   MRS_RETURN_IF_ERROR(Refill());
   if (!StartsWith(window_, kBinaryRecordMagic)) {
     return Corrupt("payload missing binary record magic");
@@ -119,18 +128,22 @@ Status SpillRunSource::Open() {
   Result<uint64_t> n = pre.GetVarint();
   if (!n.ok()) return Corrupt("truncated record count");
   records_left_ = *n;
-  window_.erase(0, kBinaryRecordMagic.size() + pre.position());
+  cursor_ = kBinaryRecordMagic.size() + pre.position();
   return Status::Ok();
 }
 
 Status SpillRunSource::Refill() {
   if (payload_left_ == 0) return Status::Ok();
+  window_.erase(0, cursor_);
+  cursor_ = 0;
   size_t want = static_cast<size_t>(
       std::min<uint64_t>(payload_left_, buffer_bytes_));
   size_t old = window_.size();
   window_.resize(old + want);
-  size_t got = std::fread(window_.data() + old, 1, want, file_);
+  MRS_ASSIGN_OR_RETURN(size_t got,
+                       ReadAt(fd_, read_offset_, window_.data() + old, want));
   window_.resize(old + got);
+  read_offset_ += got;
   payload_left_ -= got;
   if (got < want) return Corrupt("unexpected EOF in payload");
   return Status::Ok();
@@ -143,21 +156,21 @@ Result<bool> SpillRunSource::Next(KeyValue* out) {
   }
   if (!open_status_.ok()) return open_status_;
   if (records_left_ == 0) {
-    if (!window_.empty() || payload_left_ != 0) {
+    if (cursor_ != window_.size() || payload_left_ != 0) {
       open_status_ = Corrupt("trailing bytes after records");
       return open_status_;
     }
     return false;
   }
   while (true) {
-    ByteReader r(window_);
+    ByteReader r(std::string_view(window_).substr(cursor_));
     Result<Value> key = Value::Deserialize(&r);
     Result<Value> value =
         key.ok() ? Value::Deserialize(&r) : Result<Value>(key.status());
     if (key.ok() && value.ok()) {
       out->key = std::move(*key);
       out->value = std::move(*value);
-      window_.erase(0, r.position());
+      cursor_ += r.position();
       --records_left_;
       return true;
     }

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,11 +49,13 @@ class VectorSource : public MergeSource {
 
 /// Streams a spill run from disk in fixed-size chunks — memory stays
 /// O(buffer + one record) regardless of run size.  The first Next() opens
-/// the file, parses the frame header, and verifies the payload checksum
-/// with one streaming pass *before* any record is emitted, so a bit-flip
-/// anywhere in the run surfaces as kDataLoss up front — never as silently
-/// corrupted records.  A missing file is kNotFound; truncation or a
-/// malformed record is kDataLoss.
+/// the run's file, parses the frame header at the run's offset, and
+/// verifies the payload checksum with one streaming pass over the run's
+/// byte range *before* any record is emitted, so a bit-flip anywhere in
+/// the run surfaces as kDataLoss up front — never as silently corrupted
+/// records.  Bytes outside the range (other runs of the same file) are
+/// never read.  A missing file is kNotFound; truncation, a range past the
+/// end of the file, or a malformed record is kDataLoss.
 class SpillRunSource : public MergeSource {
  public:
   explicit SpillRunSource(SpillRun run, size_t buffer_bytes = 64 * 1024);
@@ -68,17 +69,20 @@ class SpillRunSource : public MergeSource {
  private:
   Status Open();
   Status Corrupt(const std::string& what) const;
-  /// Append up to buffer_bytes_ more payload bytes to window_.
+  /// Drop the decoded prefix of window_ and append up to buffer_bytes_
+  /// more payload bytes.
   Status Refill();
 
   SpillRun run_;
   size_t buffer_bytes_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   bool opened_ = false;
   Status open_status_;
   uint64_t records_left_ = 0;
+  uint64_t read_offset_ = 0;   // file offset of the next payload byte
   uint64_t payload_left_ = 0;  // payload bytes not yet read into window_
-  std::string window_;         // undecoded payload bytes
+  std::string window_;         // payload bytes read from the file
+  size_t cursor_ = 0;          // window_ bytes before this are decoded
 };
 
 /// Stable k-way merge: repeatedly yields the smallest head record by

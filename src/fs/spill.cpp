@@ -1,6 +1,10 @@
 #include "fs/spill.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -25,6 +29,12 @@ obs::Counter* RunsWritten() {
 obs::Counter* BytesSpilled() {
   static obs::Counter* c =
       obs::Registry::Instance().GetCounter("mrs.spill.bytes_spilled");
+  return c;
+}
+
+obs::Counter* FilesCreated() {
+  static obs::Counter* c =
+      obs::Registry::Instance().GetCounter("mrs.spill.files_created");
   return c;
 }
 
@@ -124,22 +134,83 @@ Result<int64_t> ParseByteSize(const std::string& text) {
   return neg ? -v * mult : v * mult;
 }
 
-Result<SpillRun> WriteEncodedSpillRun(const std::string& path,
-                                      const std::string& id,
-                                      std::string_view payload,
-                                      const std::string& checksum,
-                                      bool sorted) {
-  BucketFrame frame;
-  frame.id = id;
-  frame.checksum = checksum;
-  frame.data = std::string(payload);
-  MRS_RETURN_IF_ERROR(WriteFileAtomic(path, EncodeBucketFrames({frame})));
+namespace {
+
+std::string RunName(const SpillRun& run) {
+  return "spill run " + run.path + "@" + std::to_string(run.offset);
+}
+
+/// Write all of `data` at `offset`.
+Status WriteAt(int fd, const std::string& path, uint64_t offset,
+               std::string_view data) {
+  size_t written = 0;
+  while (written < data.size()) {
+    ssize_t n = ::pwrite(fd, data.data() + written, data.size() - written,
+                         static_cast<off_t>(offset + written));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return IoErrorFromErrno("write " + path, errno);
+    }
+    written += static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+SpillFile::~SpillFile() {
+  if (fd_ < 0) return;
+  ::close(fd_);
+  if (!keep_) ::unlink(path_.c_str());
+}
+
+Result<SpillRun> SpillFile::Append(const std::string& id,
+                                   const std::vector<KeyValue>& records,
+                                   bool sorted) {
+  std::string payload = EncodeBinaryRecords(records);
+  MRS_ASSIGN_OR_RETURN(
+      SpillRun run,
+      AppendEncoded(id, payload, ContentChecksum(payload), sorted));
+  run.records = records.size();
+  return run;
+}
+
+Result<SpillRun> SpillFile::AppendEncoded(const std::string& id,
+                                          std::string_view payload,
+                                          const std::string& checksum,
+                                          bool sorted) {
+  if (fd_ < 0) {
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                 0644);
+    if (fd_ < 0) return IoErrorFromErrno("create " + path_, errno);
+    FilesCreated()->Inc();
+  }
+  // The frame set EncodeBucketFrames would produce for this one frame,
+  // written as header + payload so the payload is never copied.
+  Bytes header;
+  ByteWriter w(&header);
+  w.PutRaw(kBucketFramesFormat.data(), kBucketFramesFormat.size());
+  w.PutVarint(1);
+  w.PutLengthPrefixed(id);
+  w.PutLengthPrefixed(checksum);
+  w.PutVarint(payload.size());
+  std::string_view head(reinterpret_cast<const char*>(header.data()),
+                        header.size());
+  // A failed append leaves size_ where it was, so the next run overwrites
+  // the partial frame.
+  MRS_RETURN_IF_ERROR(WriteAt(fd_, path_, size_, head));
+  MRS_RETURN_IF_ERROR(WriteAt(fd_, path_, size_ + head.size(), payload));
+  dirty_ = true;
+
   SpillRun run;
-  run.path = path;
+  run.path = path_;
+  run.offset = size_;
+  run.length = head.size() + payload.size();
   run.id = id;
   run.checksum = checksum;
   run.bytes = payload.size();
   run.sorted = sorted;
+  size_ += run.length;
   // Record count from the payload header ("mrsb1\n" magic + varint), so
   // callers staging already-encoded frames keep meaningful metrics.
   if (payload.size() > kBinaryRecordMagic.size()) {
@@ -152,39 +223,85 @@ Result<SpillRun> WriteEncodedSpillRun(const std::string& path,
   return run;
 }
 
-Result<SpillRun> WriteSpillRun(const std::string& path, const std::string& id,
-                               const std::vector<KeyValue>& records,
-                               bool sorted) {
-  std::string payload = EncodeBinaryRecords(records);
-  MRS_ASSIGN_OR_RETURN(
-      SpillRun run,
-      WriteEncodedSpillRun(path, id, payload, ContentChecksum(payload),
-                           sorted));
-  run.records = records.size();
+Status SpillFile::Sync() {
+  if (fd_ < 0) return Status::Ok();
+  if (dirty_) {
+    if (::fsync(fd_) < 0) return IoErrorFromErrno("fsync " + path_, errno);
+    dirty_ = false;
+  }
+  if (!dir_synced_) {
+    // The file's directory entry lives in the parent directory's data.
+    std::string dir = DirName(path_);
+    int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (dfd < 0) return IoErrorFromErrno("open dir " + dir, errno);
+    int err = ::fsync(dfd) < 0 ? errno : 0;
+    ::close(dfd);
+    if (err != 0) return IoErrorFromErrno("fsync dir " + dir, err);
+    dir_synced_ = true;
+  }
+  return Status::Ok();
+}
+
+Result<SpillRun> WriteEncodedSpillRun(const std::string& path,
+                                      const std::string& id,
+                                      std::string_view payload,
+                                      const std::string& checksum,
+                                      bool sorted) {
+  SpillFile file(path);
+  MRS_ASSIGN_OR_RETURN(SpillRun run,
+                       file.AppendEncoded(id, payload, checksum, sorted));
+  MRS_RETURN_IF_ERROR(file.Sync());
+  file.Keep();
   return run;
 }
 
+Result<SpillRun> WriteSpillRun(const std::string& path, const std::string& id,
+                               const std::vector<KeyValue>& records,
+                               bool sorted) {
+  SpillFile file(path);
+  MRS_ASSIGN_OR_RETURN(SpillRun run, file.Append(id, records, sorted));
+  MRS_RETURN_IF_ERROR(file.Sync());
+  file.Keep();
+  return run;
+}
+
+Result<std::string> ReadSpillRunBytes(const SpillRun& run) {
+  int fd = ::open(run.path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return NotFoundError(RunName(run) + " missing");
+    return IoErrorFromErrno("open " + run.path, errno);
+  }
+  std::string raw(run.length, '\0');
+  Result<size_t> got = ReadAt(fd, run.offset, raw.data(), raw.size());
+  ::close(fd);
+  if (!got.ok()) return got.status();
+  if (*got < raw.size()) {
+    return DataLossError(RunName(run) + ": range runs past the end of the "
+                         "file (" + std::to_string(*got) + " of " +
+                         std::to_string(raw.size()) + " bytes)");
+  }
+  return raw;
+}
+
 Result<std::vector<KeyValue>> ReadSpillRun(const SpillRun& run) {
-  MRS_ASSIGN_OR_RETURN(std::string raw, ReadFileToString(run.path));
+  MRS_ASSIGN_OR_RETURN(std::string raw, ReadSpillRunBytes(run));
   Result<std::vector<BucketFrame>> frames = DecodeBucketFrames(raw);
   if (!frames.ok()) {
-    return DataLossError("spill run " + run.path + ": " +
-                         frames.status().message());
+    return DataLossError(RunName(run) + ": " + frames.status().message());
   }
   if (frames->size() != 1) {
-    return DataLossError("spill run " + run.path + ": expected 1 frame, got " +
+    return DataLossError(RunName(run) + ": expected 1 frame, got " +
                          std::to_string(frames->size()));
   }
   BucketFrame& frame = (*frames)[0];
   if (!run.checksum.empty() && frame.checksum != run.checksum) {
-    return DataLossError("spill run " + run.path +
+    return DataLossError(RunName(run) +
                          ": frame checksum does not match run metadata "
                          "(wrong or swapped file)");
   }
   Result<std::vector<KeyValue>> records = DecodeBinaryRecords(frame.data);
   if (!records.ok()) {
-    return DataLossError("spill run " + run.path + ": " +
-                         records.status().message());
+    return DataLossError(RunName(run) + ": " + records.status().message());
   }
   RunsRead()->Inc();
   return records;
@@ -212,17 +329,15 @@ Result<std::string> SpillRoot() {
   return root;
 }
 
-Result<std::string> NewSpillDir(const std::string& label,
-                                const std::string& parent) {
+Result<std::string> NewSpillFilePath(const std::string& label,
+                                     const std::string& parent) {
   std::string root = parent;
   if (root.empty()) {
     MRS_ASSIGN_OR_RETURN(root, SpillRoot());
   }
   static std::atomic<uint64_t> seq{0};
-  std::string dir = JoinPath(
-      root, label + "_" + std::to_string(seq.fetch_add(1)));
-  MRS_RETURN_IF_ERROR(EnsureDir(dir));
-  return dir;
+  return JoinPath(root,
+                  label + "_" + std::to_string(seq.fetch_add(1)) + ".mrsk");
 }
 
 }  // namespace mrs

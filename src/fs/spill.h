@@ -1,9 +1,10 @@
 // Out-of-core bucket storage: spill runs + the process memory budget.
 //
 // When a job's intermediate data exceeds RAM, bucket contents are written
-// to local disk as *spill runs* — checksummed files in the same mrsk1
-// frame format the data plane streams between slaves — and reads become
-// merged streams (fs/merge.h) instead of materialized vectors.  The
+// to local disk as *spill runs* — checksummed frames in the same mrsk1
+// format the data plane streams between slaves, appended to one file per
+// task attempt — and reads become merged streams (fs/merge.h) instead of
+// materialized vectors.  The
 // MemoryBudget decides when: every producer (map partition accumulation,
 // reduce output buffering, dataset row storage) charges it as records
 // accumulate and spills once usage crosses the configured limit.
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -94,13 +96,18 @@ class MemoryBudget {
 /// "0" and "" mean unlimited.
 Result<int64_t> ParseByteSize(const std::string& text);
 
-/// One spill run on local disk.  The file is a single-frame mrsk1 frame
-/// set: frame id names the producer ("<dataset>/<source>/<split>[/...]"),
-/// frame checksum guards the payload, frame data is EncodeBinaryRecords of
-/// the run's records.  Reusing the wire format means a slave can serve a
-/// run straight into the batched data plane without re-framing.
+/// One spill run on local disk: the byte range [offset, offset + length)
+/// of a spill file, holding a single-frame mrsk1 frame set.  The frame id
+/// names the producer ("<dataset>/<source>/<split>[/...]"), the frame
+/// checksum guards the payload, and the frame data is EncodeBinaryRecords
+/// of the run's records.  Reusing the wire format means a slave can serve
+/// a run straight into the batched data plane without re-framing.  A task
+/// attempt appends all its runs to one file (SpillFile); a standalone run
+/// (WriteSpillRun) is a one-run file at offset 0.
 struct SpillRun {
   std::string path;
+  uint64_t offset = 0;  // first byte of the run's frame set in `path`
+  uint64_t length = 0;  // frame set size in bytes
   std::string id;
   std::string checksum;  // ContentChecksum of the encoded record payload
   uint64_t records = 0;
@@ -108,40 +115,91 @@ struct SpillRun {
   bool sorted = false;  // ordered by (key, value); false = FIFO
 };
 
-/// Write `records` to `path` as a spill run (atomically: temp + rename).
-/// If `sorted`, the caller guarantees the records are already ordered by
-/// (key, value).  Updates mrs.spill.runs_written / bytes_spilled.
+/// An append-only file of spill runs.  The file is created by the first
+/// Append, so a task attempt that never spills leaves nothing on disk;
+/// creations count in mrs.spill.files_created.  Sync makes every run
+/// appended so far durable (an fsync of the file, and of its directory the
+/// first time), so an attempt pays one create and one fsync pair however
+/// many runs it writes before it syncs.  The destructor deletes the file
+/// unless Keep() was called: a failed attempt's spill data goes at once,
+/// while a kept file belongs to whoever holds its runs (a dataset row, a
+/// slave's bucket store), which deletes it on discard.  One writer at a
+/// time; readers open the file independently.
+class SpillFile {
+ public:
+  explicit SpillFile(std::string path) : path_(std::move(path)) {}
+  ~SpillFile();
+
+  SpillFile(const SpillFile&) = delete;
+  SpillFile& operator=(const SpillFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+  /// Append `records` as one run.  If `sorted`, the caller guarantees the
+  /// records are already ordered by (key, value).  Updates
+  /// mrs.spill.runs_written / bytes_spilled.
+  Result<SpillRun> Append(const std::string& id,
+                          const std::vector<KeyValue>& records, bool sorted);
+
+  /// Append an already-encoded record payload as one run without decoding
+  /// it.  `checksum` must be ContentChecksum(payload) — verified on read,
+  /// not here.
+  Result<SpillRun> AppendEncoded(const std::string& id,
+                                 std::string_view payload,
+                                 const std::string& checksum, bool sorted);
+
+  /// fsync what was appended since the last Sync (no-op when nothing was).
+  Status Sync();
+
+  /// Hand the file to the holder of its runs instead of deleting it.
+  void Keep() { keep_ = true; }
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+  uint64_t size_ = 0;
+  bool dirty_ = false;       // bytes appended since the last fsync
+  bool dir_synced_ = false;  // the directory entry is durable
+  bool keep_ = false;
+};
+
+/// Write `records` to `path` as a one-run spill file and fsync it.  If
+/// `sorted`, the caller guarantees the records are already ordered by
+/// (key, value).
 Result<SpillRun> WriteSpillRun(const std::string& path, const std::string& id,
                                const std::vector<KeyValue>& records,
                                bool sorted);
 
-/// Wrap an already-encoded record payload (e.g. a frame fetched over the
-/// data plane) as a spill run file without decoding it.  `checksum` must
-/// be ContentChecksum(payload) — verified on read, not here.
+/// Same, for an already-encoded record payload (see AppendEncoded).
 Result<SpillRun> WriteEncodedSpillRun(const std::string& path,
                                       const std::string& id,
                                       std::string_view payload,
                                       const std::string& checksum,
                                       bool sorted);
 
+/// The run's raw frame set, unverified.  A missing file is kNotFound; a
+/// range that runs past the end of the file is kDataLoss.
+Result<std::string> ReadSpillRunBytes(const SpillRun& run);
+
 /// Read a whole run back.  A missing file is kNotFound; truncation, a bad
 /// frame, or a checksum mismatch is kDataLoss.  (For memory-bounded reads
 /// use fs/merge.h's SpillRunSource, which streams.)
 Result<std::vector<KeyValue>> ReadSpillRun(const SpillRun& run);
 
-/// Best-effort deletion of a run file (lineage invalidation, discards).
+/// Best-effort deletion of the file holding `run` — and so of every other
+/// run in that file.
 void RemoveSpillRun(const SpillRun& run);
 
-/// Lazily-created process-local directory for spill files that have no
-/// natural owner directory (serial/thread runner tasks, dataset row
-/// spills).  Removed at process exit.
+/// Lazily-created process-local directory for the spill files of tasks
+/// that have no natural owner directory (serial, thread and slave task
+/// attempts).  Removed at process exit.
 Result<std::string> SpillRoot();
 
-/// Create a fresh subdirectory of `parent` (SpillRoot() when empty) for
-/// one task execution's run files.  Each call returns a distinct directory
-/// (monotonic suffix), so a re-executed task never overwrites run files a
-/// stale bucket still references.
-Result<std::string> NewSpillDir(const std::string& label,
-                                const std::string& parent = "");
+/// A fresh spill file path "<parent>/<label>_<n>.mrsk" (parent is
+/// SpillRoot() when empty) for one task attempt.  `n` is a process-wide
+/// sequence number, so a re-executed task never appends to or replaces
+/// a file that a stale bucket still references.  Nothing is created.
+Result<std::string> NewSpillFilePath(const std::string& label,
+                                     const std::string& parent = "");
 
 }  // namespace mrs

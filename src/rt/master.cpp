@@ -405,7 +405,7 @@ void Master::Discard(const DataSetPtr& dataset) {
       }
     }
   }
-  dataset->EvictAll();
+  dataset->Discard();
 }
 
 UrlFetcher Master::fetcher() const {

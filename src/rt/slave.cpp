@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <optional>
 
 #include "common/bytes.h"
@@ -27,21 +28,21 @@ namespace mrs {
 namespace {
 std::atomic<bool> g_process_drain{false};
 
-/// Parse a spill run file into its single frame WITHOUT verifying the
-/// payload checksum.  Serving is a pass-through: the fetching peer's
+/// Parse a spill run into its single frame WITHOUT verifying the payload
+/// checksum.  Serving is a pass-through: the fetching peer's
 /// DecodeBucketFrames is the integrity check, so a run corrupted on disk
 /// surfaces client-side as kDataLoss (retry, then bad_url lineage
 /// recovery) exactly like a truncated network transfer — not as an
 /// unattributable serve-time error.
-Result<BucketFrame> ReadRunFrameRaw(const std::string& path) {
-  MRS_ASSIGN_OR_RETURN(std::string raw, ReadFileToString(path));
+Result<BucketFrame> ReadRunFrameRaw(const SpillRun& run) {
+  MRS_ASSIGN_OR_RETURN(std::string raw, ReadSpillRunBytes(run));
   if (!StartsWith(raw, kBucketFramesFormat)) {
-    return DataLossError("spill run " + path + " missing mrsk1 magic");
+    return DataLossError("spill run " + run.path + " missing mrsk1 magic");
   }
   ByteReader r(std::string_view(raw).substr(kBucketFramesFormat.size()));
   MRS_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
   if (count != 1) {
-    return DataLossError("spill run " + path + " holds " +
+    return DataLossError("spill run " + run.path + " holds " +
                          std::to_string(count) + " frames, want 1");
   }
   BucketFrame f;
@@ -60,7 +61,7 @@ Result<std::vector<BucketFrame>> RunBackedFrames(
   std::vector<BucketFrame> frames;
   frames.reserve(runs.size());
   for (size_t i = 0; i < runs.size(); ++i) {
-    MRS_ASSIGN_OR_RETURN(BucketFrame f, ReadRunFrameRaw(runs[i].path));
+    MRS_ASSIGN_OR_RETURN(BucketFrame f, ReadRunFrameRaw(runs[i]));
     f.id = key + "#run" + std::to_string(i);
     frames.push_back(std::move(f));
   }
@@ -246,7 +247,7 @@ HttpResponse Slave::ServeBucketBatch(std::string_view query) {
     if (StartsWith(kv, "ids=")) ids = kv.substr(4);
   }
   if (ids.empty()) return HttpResponse::BadRequest("missing ids= parameter");
-  // Copy store entries under the lock; run files are read outside it.
+  // Copy store entries under the lock; spill runs are read outside it.
   struct Entry {
     std::string id;
     StoredBucket stored;
@@ -293,10 +294,10 @@ void Slave::HandleDiscards(const XmlRpcValue& response) {
   if (!discard.ok()) return;
   auto arr = (*discard)->AsArray();
   if (!arr.ok()) return;
-  // Run files of discarded run-backed buckets are deleted after the store
-  // erase (outside the lock): once the entry is gone nothing can serve
-  // them, and reclaiming the disk keeps long jobs bounded.
-  std::vector<SpillRun> dead_runs;
+  // Spill files of a discarded dataset are deleted after the store erase
+  // (outside the lock): once its entries are gone nothing can serve them,
+  // and reclaiming the disk keeps long jobs bounded.
+  std::vector<std::string> dead_files;
   {
     MutexLock lock(store_mutex_);
     for (const XmlRpcValue& v : **arr) {
@@ -305,10 +306,13 @@ void Slave::HandleDiscards(const XmlRpcValue& response) {
       std::string prefix = std::to_string(*id) + "/";
       for (auto it = store_.lower_bound(prefix); it != store_.end();) {
         if (!StartsWith(it->first, prefix)) break;
-        for (SpillRun& run : it->second.runs) {
-          dead_runs.push_back(std::move(run));
-        }
         it = store_.erase(it);
+      }
+      if (auto files = spill_files_.find(static_cast<int>(*id));
+          files != spill_files_.end()) {
+        dead_files.insert(dead_files.end(), files->second.begin(),
+                          files->second.end());
+        spill_files_.erase(files);
       }
       // Resident input caches of the discarded dataset go with it.
       std::string rprefix = "r/" + std::to_string(*id) + "/";
@@ -319,7 +323,7 @@ void Slave::HandleDiscards(const XmlRpcValue& response) {
       }
     }
   }
-  for (const SpillRun& run : dead_runs) RemoveSpillRun(run);
+  for (const std::string& file : dead_files) std::remove(file.c_str());
 }
 
 bool Slave::DrawFetchFault() {
@@ -456,8 +460,9 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
   };
 
   // Out-of-core execution: when the process memory budget is active,
-  // every task attempt gets its own spill directory (a rerun never
-  // overwrites run files a published bucket still references).
+  // every task attempt gets its own spill file (a rerun never overwrites
+  // runs a published bucket still references).  It is deleted on every
+  // failure path, and kept only while the store serves its runs.
   std::optional<TaskSpillContext> spill = NewTaskSpillContext(
       "slave" + std::to_string(id_), assignment.dataset_id, assignment.source);
   const TaskSpillContext* spill_ptr = spill ? &*spill : nullptr;
@@ -491,23 +496,19 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
   auto compute_row = [&]() -> Result<std::vector<Bucket>> {
     if (assignment.kind == DataSetKind::kReduce && spill_ptr != nullptr &&
         assignment.resident_key.empty()) {
-      // Budgeted reduce: stage each input part on disk as a sorted run
-      // (one part resident at a time) and stream the k-way merge, so the
-      // full reduce input is never materialized in memory.
+      // Budgeted reduce: stage each input part in the attempt's spill file
+      // as a sorted run (one part resident at a time) and stream the k-way
+      // merge, so the full reduce input is never materialized in memory.
       std::vector<std::unique_ptr<MergeSource>> sources;
-      size_t seq = 0;
       for (const TaskInputPart& part : assignment.inputs) {
         MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> recs,
                              LoadTaskInput({part}, fetch));
         std::stable_sort(recs.begin(), recs.end(), KeyValueLess);
-        std::string path =
-            JoinPath(spill->dir, "input_run" + std::to_string(seq) + ".mrsk");
         MRS_ASSIGN_OR_RETURN(
             SpillRun run,
-            WriteSpillRun(path,
-                          spill->id_prefix + "/in" + std::to_string(seq),
-                          recs, /*sorted=*/true));
-        ++seq;
+            spill->file->Append(
+                spill->id_prefix + "/in" + std::to_string(sources.size()),
+                recs, /*sorted=*/true));
         sources.push_back(std::make_unique<SpillRunSource>(std::move(run)));
       }
       return ReduceMergedSources(*program_, assignment.options,
@@ -539,7 +540,7 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
   // run-backed: hosting it costs no memory, and the data plane streams the
   // runs at serve time.
   XmlRpcArray urls;
-  std::vector<std::string> published_run_files;
+  std::vector<SpillRun> published_runs;
   for (int p = 0; p < assignment.num_splits; ++p) {
     Bucket& b = row[static_cast<size_t>(p)];
     std::string rel = std::to_string(assignment.dataset_id) + "/" +
@@ -548,7 +549,7 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
     if (b.spilled()) {
       for (const SpillRun& run : b.spill_runs()) {
         span.add_bytes_out(static_cast<int64_t>(run.bytes));
-        published_run_files.push_back(run.path);
+        published_runs.push_back(run);
       }
       if (config_.shared_dir.empty()) {
         {
@@ -603,19 +604,29 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
     }
   }
 
-  // Chaos: flip one byte inside a just-published run file.  The fetching
-  // peer's frame checksum catches it (kDataLoss), retries exhaust, and the
+  // The spill file stays while the store serves runs from it; otherwise
+  // (nothing spilled, or the runs were copied to the shared filesystem)
+  // it holds only dead runs and goes with the context.
+  if (spill && config_.shared_dir.empty() && !published_runs.empty()) {
+    spill->file->Keep();
+    MutexLock lock(store_mutex_);
+    spill_files_[assignment.dataset_id].push_back(spill->file->path());
+  }
+
+  // Chaos: flip one byte inside a just-published run.  The fetching peer's
+  // frame checksum catches it (kDataLoss), retries exhaust, and the
   // master's lineage machinery re-executes this task.
-  if (!published_run_files.empty() && spill_corrupt_remaining_.load() > 0 &&
+  if (!published_runs.empty() && spill_corrupt_remaining_.load() > 0 &&
       spill_corrupt_remaining_.fetch_sub(1) > 0) {
-    const std::string& victim = published_run_files.front();
-    Result<std::string> raw = ReadFileToString(victim);
-    if (raw.ok() && !raw->empty()) {
-      (*raw)[raw->size() / 2] = static_cast<char>((*raw)[raw->size() / 2] ^ 0x40);
-      Status s = WriteFileAtomic(victim, *raw);
+    const SpillRun& victim = published_runs.front();
+    Result<std::string> raw = ReadFileToString(victim.path);
+    if (raw.ok() && raw->size() >= victim.offset + victim.length) {
+      size_t at = static_cast<size_t>(victim.offset + victim.length / 2);
+      (*raw)[at] = static_cast<char>((*raw)[at] ^ 0x40);
+      Status s = WriteFileAtomic(victim.path, *raw);
       MRS_LOG(kWarning, "slave")
-          << "slave " << id_ << " corrupted spill run " << victim
-          << " (chaos): " << s.ToString();
+          << "slave " << id_ << " corrupted spill run " << victim.path << "@"
+          << victim.offset << " (chaos): " << s.ToString();
     }
   }
 

@@ -59,7 +59,7 @@ class Slave {
     /// release — a SIGTERM'd slave whose grace period was cut short.
     bool drain_then_crash = false;
     /// Corrupt this many published spill-run-backed buckets (flip one byte
-    /// in the first run file after task_done).  The fetching peer sees a
+    /// in the first run's byte range before task_done).  The fetching peer sees a
     /// frame checksum mismatch (kDataLoss), exhausts its retries, and the
     /// failed task's bad_url report drives lineage re-execution — the
     /// out-of-core analogue of a truncated transfer.
@@ -172,9 +172,9 @@ class Slave {
   // its checksum, computed once at publish time and attached to every
   // response so fetchers can detect truncation.  A bucket that spilled
   // under the memory budget is stored run-backed instead: `runs` names its
-  // on-disk spill runs and `data` stays empty — the runs are streamed into
-  // an mrsk1 frame set at serve time, so hosting the bucket costs no
-  // memory.
+  // on-disk spill runs (byte ranges of the producing attempt's spill file)
+  // and `data` stays empty — the runs are streamed into an mrsk1 frame set
+  // at serve time, so hosting the bucket costs no memory.
   struct StoredBucket {
     std::string data;
     std::string checksum;
@@ -182,6 +182,11 @@ class Slave {
   };
   Mutex store_mutex_;
   std::map<std::string, StoredBucket> store_ MRS_GUARDED_BY(store_mutex_);
+  // Spill files of the attempts whose runs the store serves, by dataset;
+  // deleted with the dataset's piggybacked discard.  A re-executed task's
+  // older file stays listed, so it goes with the dataset too.
+  std::map<int, std::vector<std::string>> spill_files_
+      MRS_GUARDED_BY(store_mutex_);
   // Resident input cache (iterative/BSP mode): "r/<dataset>/<split>" ->
   // decoded input records of a pinned dataset's split, kept across
   // supersteps so the master can ship only the broadcast delta.  Purged

@@ -716,12 +716,12 @@ std::vector<KeyValue> SerialSpillWordCount() {
   return program.result;
 }
 
-// A slave silently corrupts run files under its published buckets.  The
-// server deliberately does NOT verify checksums when serving (a re-read
-// would only move the detection point); the fetching peer's frame-checksum
-// check catches it, and after retries exhaust, the master re-executes the
-// producing task — whose fresh attempt writes new run files in a new spill
-// directory, never reusing the corrupt ones.
+// A slave silently corrupts runs under its published buckets.  The server
+// deliberately does NOT verify checksums when serving (a re-read would
+// only move the detection point); the fetching peer's frame-checksum check
+// catches it, and after retries exhaust, the master re-executes the
+// producing task — whose fresh attempt writes its runs to a new spill
+// file, never reusing the corrupt ones.
 TEST(Chaos, SpillCorruptionIsCaughtAndRecoveredByLineage) {
   ScopedBudget tiny(1);  // every charge interval spills: buckets run-backed
   ClusterLauncher::Config config = FastFailoverConfig(3);

@@ -360,8 +360,9 @@ TEST(Runners, MockParallelMatchesSerialExactly) {
 
 TEST(Runners, DiscardFreesMockParallelFiles) {
   // Unbudgeted, a finished row is persisted as bucket files; under a
-  // 1-byte budget its buckets spill to run files in the dataset's
-  // directory instead.  Either way Discard leaves the tmpdir empty.
+  // 1-byte budget its buckets spill to the task attempts' spill files in
+  // the dataset's directory instead.  Either way Discard leaves the tmpdir
+  // empty.
   std::string text;
   for (int i = 0; i < 20; ++i) {
     text += "one fish two fish\nred fish blue fish\ntwo if by sea\n";

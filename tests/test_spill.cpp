@@ -16,28 +16,38 @@
 //   4. Fault injection — truncated, bit-flipped, and deleted run files
 //      must surface as kDataLoss / kNotFound (never a crash or a
 //      silently partial result), both through the streaming reader and
-//      through Bucket::EnsureLoaded.
+//      through Bucket::EnsureLoaded, for a standalone run file and for a
+//      run inside an attempt's shared file, whose neighbours still read.
 // Plus DistSort invariants (partition monotonicity, cross-instance
-// splitter agreement) and a budgeted end-to-end WordCount.
+// splitter agreement), a budgeted end-to-end WordCount, and the spill
+// file lifecycle on every runner: at most one file per task attempt,
+// none left after Discard or a failed attempt.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/strings.h"
+#include "core/job.h"
+#include "core/serial_runner.h"
 #include "core/task.h"
+#include "core/thread_runner.h"
 #include "fs/bucket.h"
 #include "fs/file_io.h"
 #include "fs/merge.h"
 #include "fs/spill.h"
 #include "http/message.h"
 #include "obs/metrics.h"
+#include "rt/cluster.h"
 #include "rt/mrs_main.h"
 #include "ser/record.h"
 #include "sort/distsort.h"
@@ -293,6 +303,85 @@ TEST_F(SpillDirTest, StreamingReadWithTinyBufferStraddlesRecords) {
   }
 }
 
+TEST_F(SpillDirTest, StreamingReadOfASharedFileRunSeveralBuffersLong) {
+  std::mt19937 rng(19);
+  std::vector<KeyValue> before = MakeRecords(rng, 50);
+  std::vector<KeyValue> records = MakeRecords(rng, 4000);
+  std::stable_sort(records.begin(), records.end(), KeyValueLess);
+  std::vector<KeyValue> after = MakeRecords(rng, 50);
+  SpillFile file(Path("long.mrsk"));
+  ASSERT_TRUE(file.Append("x/0", before, /*sorted=*/false).ok());
+  auto run = file.Append("x/1", records, /*sorted=*/true);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(file.Append("x/2", after, /*sorted=*/false).ok());
+  EXPECT_GT(run->offset, 0u);
+  // The smallest window is 4096 bytes, so the run spans many windows,
+  // records straddle every refill, and the runs on either side of its
+  // byte range must never leak in.
+  ASSERT_GT(run->bytes, 8u * 4096u);
+  for (size_t buffer : {size_t{7}, size_t{5000}, size_t{1} << 16}) {
+    SpillRunSource source(*run, buffer);
+    std::vector<KeyValue> streamed;
+    KeyValue kv;
+    while (true) {
+      auto more = source.Next(&kv);
+      ASSERT_TRUE(more.ok()) << "buffer=" << buffer << ": "
+                             << more.status().ToString();
+      if (!*more) break;
+      streamed.push_back(kv);
+    }
+    EXPECT_TRUE(streamed == records) << "buffer=" << buffer;
+  }
+}
+
+TEST_F(SpillDirTest, SpillFileAppendsRunsAsConsecutiveByteRanges) {
+  obs::Counter* created =
+      obs::Registry::Instance().GetCounter("mrs.spill.files_created");
+  const int64_t created_before = created->value();
+  std::mt19937 rng(17);
+  std::vector<std::vector<KeyValue>> parts = {
+      MakeRecords(rng, 40), {}, MakeRecords(rng, 25)};
+  const std::string path = Path("attempt.mrsk");
+  std::vector<SpillRun> runs;
+  {
+    SpillFile file(path);
+    ASSERT_TRUE(file.Sync().ok());
+    EXPECT_FALSE(FileExists(path)) << "created before its first run";
+    for (size_t i = 0; i < parts.size(); ++i) {
+      auto run = file.Append("a/" + std::to_string(i), parts[i],
+                             /*sorted=*/false);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      runs.push_back(*run);
+    }
+    ASSERT_TRUE(file.Sync().ok());
+    file.Keep();
+  }
+  EXPECT_EQ(created->value() - created_before, 1);
+  EXPECT_EQ(runs[0].offset, 0u);
+  for (size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].offset, runs[i - 1].offset + runs[i - 1].length);
+  }
+  EXPECT_EQ(*FileSize(path), runs.back().offset + runs.back().length);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].records, parts[i].size());
+    auto back = ReadSpillRun(runs[i]);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_TRUE(*back == parts[i]) << "run " << i;
+    // Each range holds exactly the frame set a one-run file holds: same
+    // mrsk1 bytes, same frame checksum.
+    std::string payload = EncodeBinaryRecords(parts[i]);
+    EXPECT_EQ(runs[i].checksum, ContentChecksum(payload));
+    EXPECT_EQ(*ReadSpillRunBytes(runs[i]),
+              EncodeBucketFrames({{runs[i].id, runs[i].checksum, payload}}));
+  }
+  // A standalone run is a one-run file at offset 0.
+  auto single = WriteSpillRun(Path("single.mrsk"), "s/0", parts[0],
+                              /*sorted=*/false);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(single->offset, 0u);
+  EXPECT_EQ(single->length, *FileSize(single->path));
+}
+
 TEST_F(SpillDirTest, RemoveSpillRunDeletesTheFile) {
   auto run = WriteSpillRun(Path("gone.mrsk"), "ds3/0/0",
                            {{Value("k"), Value("v")}}, /*sorted=*/true);
@@ -303,14 +392,14 @@ TEST_F(SpillDirTest, RemoveSpillRunDeletesTheFile) {
   EXPECT_EQ(ReadSpillRun(*run).status().code(), StatusCode::kNotFound);
 }
 
-TEST(SpillDirs, NewSpillDirNeverReusesADirectory) {
-  auto a = NewSpillDir("test_label");
-  auto b = NewSpillDir("test_label");
+TEST(SpillDirs, TaskSpillFilesNeverReuseAPath) {
+  auto a = NewSpillFilePath("test_label");
+  auto b = NewSpillFilePath("test_label");
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_NE(*a, *b);  // a re-executed task never clobbers stale run files
-  EXPECT_TRUE(IsDirectory(*a));
-  EXPECT_TRUE(IsDirectory(*b));
+  EXPECT_NE(*a, *b);  // a re-executed task never clobbers stale runs
+  EXPECT_TRUE(EndsWith(*a, ".mrsk")) << *a;
+  EXPECT_FALSE(FileExists(*a));  // created by the first run, not here
 }
 
 TEST(SpillDirs, TaskSpillContextExistsOnlyUnderAnActiveBudget) {
@@ -327,9 +416,15 @@ TEST(SpillDirs, TaskSpillContextExistsOnlyUnderAnActiveBudget) {
   EXPECT_TRUE(spill->enabled());
   process.set_limit(saved);
   EXPECT_EQ(spill->id_prefix, "7/3");  // frames are "<dataset>/<source>/..."
-  EXPECT_TRUE(StartsWith(spill->dir, JoinPath(*parent, "test_ds7_t3_")))
-      << spill->dir;
-  EXPECT_TRUE(IsDirectory(spill->dir));
+  const std::string path = spill->file->path();
+  EXPECT_TRUE(StartsWith(path, JoinPath(*parent, "test_ds7_t3_"))) << path;
+  EXPECT_FALSE(FileExists(path));
+  ASSERT_TRUE(spill->file->Append("7/3/0", {{Value("k"), Value("v")}},
+                                  /*sorted=*/true)
+                  .ok());
+  EXPECT_TRUE(FileExists(path));
+  spill.reset();  // an attempt that never kept its file leaves nothing
+  EXPECT_FALSE(FileExists(path));
   RemoveTree(*parent);
 }
 
@@ -505,6 +600,51 @@ class SpillFaultTest : public SpillDirTest {
       ++*yielded;
     }
   }
+
+  /// Three sorted runs of 120 records: one file each (standalone layout)
+  /// or appended to one attempt file (shared layout).
+  std::vector<SpillRun> MakeRuns(const std::string& name, bool shared) {
+    std::unique_ptr<SpillFile> file;
+    if (shared) file = std::make_unique<SpillFile>(Path(name));
+    std::vector<SpillRun> runs;
+    for (int i = 0; i < 3; ++i) {
+      std::mt19937 rng(static_cast<unsigned>(404 + i));
+      std::vector<KeyValue> records = MakeRecords(rng, 120);
+      std::stable_sort(records.begin(), records.end(), KeyValueLess);
+      std::string id = "fault/" + name + "/" + std::to_string(i);
+      auto run = shared ? file->Append(id, records, /*sorted=*/true)
+                        : WriteSpillRun(Path(name + std::to_string(i)), id,
+                                        records, /*sorted=*/true);
+      EXPECT_TRUE(run.ok()) << run.status().ToString();
+      runs.push_back(*run);
+    }
+    if (shared) {
+      EXPECT_TRUE(file->Sync().ok());
+      file->Keep();
+    }
+    return runs;
+  }
+
+  /// Whole-run and streaming reads both fail with `code`, and the stream
+  /// yields no record first.
+  static void ExpectFault(const SpillRun& run, StatusCode code) {
+    EXPECT_EQ(ReadSpillRun(run).status().code(), code);
+    SpillRunSource source(run, /*buffer_bytes=*/16);
+    size_t yielded = 0;
+    EXPECT_EQ(DrainSource(&source, &yielded).code(), code);
+    EXPECT_EQ(yielded, 0u) << "partial records leaked before the error";
+  }
+
+  static void ExpectReadable(const SpillRun& run) {
+    auto back = ReadSpillRun(run);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->size(), run.records);
+    SpillRunSource source(run, /*buffer_bytes=*/16);
+    size_t yielded = 0;
+    Status status = DrainSource(&source, &yielded);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(yielded, run.records);
+  }
 };
 
 TEST_F(SpillFaultTest, TruncatedRunIsDataLossNotPartialData) {
@@ -571,14 +711,91 @@ TEST_F(SpillFaultTest, CorruptRunAbortsAMidFlightMerge) {
   EXPECT_EQ(merged.status().code(), StatusCode::kDataLoss);
 }
 
+// The same faults over both layouts: a standalone run file, and a run
+// inside an attempt's shared file, whose neighbours must stay readable.
+
+TEST_F(SpillFaultTest, TruncationInsideALaterRunIsDataLossInBothLayouts) {
+  for (bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared file" : "standalone files");
+    std::vector<SpillRun> runs =
+        MakeRuns(shared ? "trunc_shared" : "trunc_", shared);
+    const SpillRun& victim = runs[2];
+    auto raw = ReadFileToString(victim.path);
+    ASSERT_TRUE(raw.ok());
+    for (uint64_t keep : {victim.offset + victim.length / 2,
+                          victim.offset + victim.length - 1,
+                          victim.offset + 3}) {
+      ASSERT_TRUE(WriteFileAtomic(victim.path,
+                                  raw->substr(0, static_cast<size_t>(keep)))
+                      .ok());
+      ExpectFault(victim, StatusCode::kDataLoss);
+      ExpectReadable(runs[0]);
+      ExpectReadable(runs[1]);
+    }
+  }
+}
+
+TEST_F(SpillFaultTest, BitFlipInsideOneRunSparesItsNeighboursInBothLayouts) {
+  for (bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared file" : "standalone files");
+    std::vector<SpillRun> runs =
+        MakeRuns(shared ? "flip_shared" : "flip_", shared);
+    const SpillRun& victim = runs[1];
+    auto raw = ReadFileToString(victim.path);
+    ASSERT_TRUE(raw.ok());
+    std::string corrupt = *raw;
+    corrupt[static_cast<size_t>(victim.offset + victim.length * 3 / 4)] ^= 0x01;
+    ASSERT_TRUE(WriteFileAtomic(victim.path, corrupt).ok());
+    ExpectFault(victim, StatusCode::kDataLoss);
+    ExpectReadable(runs[0]);
+    ExpectReadable(runs[2]);
+    // A merge that includes the damaged run fails as a whole.
+    std::vector<std::unique_ptr<MergeSource>> sources;
+    for (const SpillRun& run : runs) {
+      sources.push_back(std::make_unique<SpillRunSource>(run));
+    }
+    EXPECT_EQ(MergeToVector(std::move(sources)).status().code(),
+              StatusCode::kDataLoss);
+  }
+}
+
+TEST_F(SpillFaultTest, RangePastTheEndOfTheFileIsDataLossInBothLayouts) {
+  for (bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared file" : "standalone files");
+    std::vector<SpillRun> runs =
+        MakeRuns(shared ? "range_shared" : "range_", shared);
+    SpillRun longer = runs[2];
+    longer.length += 64;
+    ExpectFault(longer, StatusCode::kDataLoss);
+    SpillRun beyond = runs[2];
+    beyond.offset = *FileSize(beyond.path) + 10;
+    ExpectFault(beyond, StatusCode::kDataLoss);
+    ExpectReadable(runs[2]);
+  }
+}
+
+TEST_F(SpillFaultTest, MissingFileIsNotFoundInBothLayouts) {
+  for (bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared file" : "standalone files");
+    std::vector<SpillRun> runs =
+        MakeRuns(shared ? "gone_shared" : "gone_", shared);
+    RemoveSpillRun(runs[1]);
+    ExpectFault(runs[1], StatusCode::kNotFound);
+    if (shared) {
+      ExpectFault(runs[0], StatusCode::kNotFound);  // the same file
+    } else {
+      ExpectReadable(runs[0]);
+    }
+  }
+}
+
 TEST_F(SpillFaultTest, BucketLoadSurfacesRunFaults) {
   std::mt19937 rng(505);
   std::vector<KeyValue> records = MakeRecords(rng, 30);
   Bucket bucket(0, 0);
   for (KeyValue& kv : records) bucket.Append(kv);
-  ASSERT_TRUE(
-      bucket.SpillToRun(Path("bucket_run.mrsk"), "b/0/0", /*sorted=*/true)
-          .ok());
+  SpillFile file(Path("bucket_run.mrsk"));
+  ASSERT_TRUE(bucket.SpillToRun(file, "b/0/0", /*sorted=*/true).ok());
   ASSERT_TRUE(bucket.spilled());
   SpillRun run = bucket.spill_runs()[0];
 
@@ -612,13 +829,14 @@ TEST_F(SpillDirTest, BucketSortedSpillRoundTripsWithUnflushedTail) {
   std::mt19937 rng(606);
   std::vector<KeyValue> all = MakeRecords(rng, 90, /*alphabet=*/4);
   Bucket bucket(1, 2);
+  SpillFile file(Path("runs.mrsk"));
   // First 30 spill as run 0, next 30 as run 1, last 30 stay as the
   // in-memory tail — EnsureLoaded must merge all three.
   for (size_t i = 0; i < 30; ++i) bucket.Append(all[i]);
-  ASSERT_TRUE(bucket.SpillToRun(Path("r0.mrsk"), "t/0", /*sorted=*/true).ok());
+  ASSERT_TRUE(bucket.SpillToRun(file, "t/0", /*sorted=*/true).ok());
   EXPECT_TRUE(bucket.records().empty());
   for (size_t i = 30; i < 60; ++i) bucket.Append(all[i]);
-  ASSERT_TRUE(bucket.SpillToRun(Path("r1.mrsk"), "t/1", /*sorted=*/true).ok());
+  ASSERT_TRUE(bucket.SpillToRun(file, "t/1", /*sorted=*/true).ok());
   for (size_t i = 60; i < all.size(); ++i) bucket.Append(all[i]);
   EXPECT_EQ(bucket.spill_runs().size(), 2u);
   EXPECT_GT(bucket.ApproxMemoryBytes(), 0u);
@@ -636,10 +854,11 @@ TEST_F(SpillDirTest, BucketFifoSpillPreservesEmitOrder) {
     all.push_back({Value(1000 - i), Value("v" + std::to_string(i))});
   }
   Bucket bucket(0, 0);
+  SpillFile file(Path("fifo_runs.mrsk"));
   for (size_t i = 0; i < 25; ++i) bucket.Append(all[i]);
-  ASSERT_TRUE(bucket.SpillToRun(Path("f0.mrsk"), "f/0", /*sorted=*/false).ok());
+  ASSERT_TRUE(bucket.SpillToRun(file, "f/0", /*sorted=*/false).ok());
   for (size_t i = 25; i < all.size(); ++i) bucket.Append(all[i]);
-  ASSERT_TRUE(bucket.SpillToRun(Path("f1.mrsk"), "f/1", /*sorted=*/false).ok());
+  ASSERT_TRUE(bucket.SpillToRun(file, "f/1", /*sorted=*/false).ok());
   ASSERT_TRUE(bucket.EnsureLoaded(nullptr).ok());
   EXPECT_TRUE(bucket.records() == all);
 }
@@ -783,6 +1002,216 @@ TEST(SpillEndToEnd, TinyBudgetForcesSpillWithIdenticalAnswer) {
   EXPECT_GT(spilled->value() - before, 0)
       << "a 1-byte budget must force every bucket to disk";
   EXPECT_EQ(EncodeTextRecords(budgeted), EncodeTextRecords(unbudgeted));
+}
+
+// ---- One spill file per task attempt, gone with its dataset --------------
+
+/// Pins the process budget for one scope; the explicit limit also shields
+/// these tests from an ambient $MRS_MEMORY_BUDGET.
+class ScopedBudget {
+ public:
+  explicit ScopedBudget(int64_t bytes)
+      : prev_(MemoryBudget::Process().limit()) {
+    MemoryBudget::Process().set_limit(bytes);
+  }
+  ~ScopedBudget() {
+    MemoryBudget::Process().set_limit(prev_);
+    MemoryBudget::Process().ResetForTest();
+  }
+
+ private:
+  int64_t prev_;
+};
+
+int64_t CounterValue(const char* name) {
+  return obs::Registry::Instance().GetCounter(name)->value();
+}
+
+const char* const kSpillRunners[] = {"serial", "mockparallel", "thread",
+                                     "masterslave"};
+
+/// A DistSort program small enough for a unit test: 4 map tasks and, at
+/// parallelism 4, 4 reduce tasks.  With `fail_maps`, every map attempt
+/// throws after it has emitted (and, under a budget, spilled) its records.
+class SmallSort : public sort::DistSortProgram {
+ public:
+  explicit SmallSort(bool fail_maps = false) : fail_maps_(fail_maps) {
+    config.tasks = 4;
+    config.records_per_task = 300;
+    config.reduce_splits = 3;
+  }
+  void Map(const Value& key, const Value& value,
+           const Emitter& emit) override {
+    sort::DistSortProgram::Map(key, value, emit);
+    if (fail_maps_) throw std::runtime_error("map fails after spilling");
+  }
+
+ private:
+  bool fail_maps_;
+};
+
+/// One runner of the sweep, with the directory its spill files go to.
+struct SpillRunner {
+  std::unique_ptr<ClusterLauncher> cluster;  // masterslave
+  std::unique_ptr<Runner> runner;
+  std::string spill_parent;
+  std::string tmpdir;          // mockparallel
+  const char* attempts = "";   // counter of task attempts
+};
+
+Result<SpillRunner> MakeSpillRunner(const std::string& impl,
+                                    MapReduce* program, bool fail_maps) {
+  SpillRunner r;
+  if (impl == "mockparallel") {
+    MRS_ASSIGN_OR_RETURN(r.tmpdir, MakeTempDir("mrs_spill_mock_"));
+    r.spill_parent = r.tmpdir;
+    r.runner = std::make_unique<SerialRunner>(program, r.tmpdir);
+    r.attempts = "mrs.mock.tasks";
+    return r;
+  }
+  MRS_ASSIGN_OR_RETURN(r.spill_parent, SpillRoot());
+  if (impl == "serial") {
+    r.runner = std::make_unique<SerialRunner>(program);
+    r.attempts = "mrs.serial.tasks";
+  } else if (impl == "thread") {
+    r.runner = std::make_unique<ThreadRunner>(program, /*num_workers=*/2);
+    r.attempts = "mrs.thread.tasks";
+  } else {
+    ClusterLauncher::Config config;
+    config.num_slaves = 2;
+    config.master.enable_speculation = false;  // attempts = tasks
+    MRS_ASSIGN_OR_RETURN(
+        r.cluster,
+        ClusterLauncher::Start(
+            [fail_maps] { return std::make_unique<SmallSort>(fail_maps); },
+            Options(), config));
+    r.runner = std::make_unique<MasterRunner>(&r.cluster->master());
+    r.attempts = "mrs.master.tasks_assigned";
+  }
+  return r;
+}
+
+/// Spill files under `dir`, recursively.
+std::set<std::string> SpillFilesUnder(const std::string& dir) {
+  std::set<std::string> out;
+  Result<std::vector<std::string>> files = ListFilesRecursive(dir);
+  if (!files.ok()) return out;
+  for (const std::string& f : *files) {
+    if (EndsWith(f, ".mrsk")) out.insert(f);
+  }
+  return out;
+}
+
+/// Spill files under `dir` that are not in `before`.  Slaves learn of a
+/// discard on their next poll, so this waits (bounded) for them to go.
+std::vector<std::string> NewSpillFiles(const std::string& dir,
+                                       const std::set<std::string>& before) {
+  std::vector<std::string> added;
+  for (int tries = 0; tries < 100; ++tries) {
+    added.clear();
+    for (const std::string& f : SpillFilesUnder(dir)) {
+      if (before.count(f) == 0) added.push_back(f);
+    }
+    if (added.empty()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  return added;
+}
+
+TEST(SpillFiles, BudgetedDistSortWritesOneFilePerTaskAttemptAtMost) {
+  ScopedBudget tiny(1);
+  for (const std::string impl : kSpillRunners) {
+    SCOPED_TRACE(impl);
+    SmallSort program;
+    ASSERT_TRUE(program.Init(Options()).ok());
+    auto r = MakeSpillRunner(impl, &program, /*fail_maps=*/false);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const int64_t files_before = CounterValue("mrs.spill.files_created");
+    const int64_t runs_before = CounterValue("mrs.spill.runs_written");
+    const int64_t attempts_before = CounterValue(r->attempts);
+    Job job(&program, std::move(r->runner));
+    job.set_default_parallelism(4);
+    DataSetPtr input;
+    ASSERT_TRUE(program.InputData(job, &input).ok());
+    DataSetPtr mapped = job.MapData(input);
+    DataSetOptions reduce_options;
+    reduce_options.num_splits = program.config.reduce_splits;
+    DataSetPtr reduced = job.ReduceData(mapped, reduce_options);
+    auto out = job.Collect(reduced);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_TRUE(*out == program.ExpectedOutput());
+
+    const int64_t files = CounterValue("mrs.spill.files_created") - files_before;
+    const int64_t attempts = CounterValue(r->attempts) - attempts_before;
+    EXPECT_EQ(attempts, 8);
+    EXPECT_GT(files, 0);
+    EXPECT_LE(files, attempts);
+    if (impl == "mockparallel") {
+      EXPECT_EQ(static_cast<int64_t>(SpillFilesUnder(r->tmpdir).size()),
+                files);
+    }
+    // Fewer files, the same runs: a 1-byte budget makes every spill
+    // decision regardless of scheduling, so this job writes exactly these
+    // runs however they are packed into files (masterslave adds the 16
+    // reduce inputs each slave stages as sorted runs).
+    EXPECT_EQ(CounterValue("mrs.spill.runs_written") - runs_before,
+              impl == "masterslave" ? 209 : 193);
+    if (r->cluster) r->cluster->Shutdown();
+    if (!r->tmpdir.empty()) RemoveTree(r->tmpdir);
+  }
+}
+
+TEST(SpillFiles, DiscardLeavesNoSpillFileOnAnyRunner) {
+  ScopedBudget tiny(1);
+  for (const std::string impl : kSpillRunners) {
+    SCOPED_TRACE(impl);
+    SmallSort program;
+    ASSERT_TRUE(program.Init(Options()).ok());
+    auto r = MakeSpillRunner(impl, &program, /*fail_maps=*/false);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const std::set<std::string> before = SpillFilesUnder(r->spill_parent);
+    Job job(&program, std::move(r->runner));
+    job.set_default_parallelism(4);
+    DataSetPtr input;
+    ASSERT_TRUE(program.InputData(job, &input).ok());
+    DataSetPtr mapped = job.MapData(input);
+    DataSetPtr reduced = job.ReduceData(mapped);
+    auto out = job.Collect(reduced);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_GT(SpillFilesUnder(r->spill_parent).size(), before.size())
+        << "a 1-byte budget wrote no spill file";
+    for (const DataSetPtr& ds : {input, mapped, reduced}) job.Discard(ds);
+    std::vector<std::string> left = NewSpillFiles(r->spill_parent, before);
+    EXPECT_TRUE(left.empty()) << left.front();
+    if (r->cluster) r->cluster->Shutdown();
+    if (!r->tmpdir.empty()) RemoveTree(r->tmpdir);
+  }
+}
+
+TEST(SpillFiles, FailedAttemptLeavesNoSpillFile) {
+  ScopedBudget tiny(1);
+  for (const std::string impl : kSpillRunners) {
+    SCOPED_TRACE(impl);
+    SmallSort program(/*fail_maps=*/true);
+    ASSERT_TRUE(program.Init(Options()).ok());
+    auto r = MakeSpillRunner(impl, &program, /*fail_maps=*/true);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const std::set<std::string> before = SpillFilesUnder(r->spill_parent);
+    const int64_t files_before = CounterValue("mrs.spill.files_created");
+    Job job(&program, std::move(r->runner));
+    job.set_default_parallelism(4);
+    DataSetPtr input;
+    ASSERT_TRUE(program.InputData(job, &input).ok());
+    DataSetPtr mapped = job.MapData(input);
+    EXPECT_FALSE(job.Wait(mapped).ok());
+    EXPECT_GT(CounterValue("mrs.spill.files_created") - files_before, 0)
+        << "the failing attempts never spilled";
+    // Every map attempt failed, so none of their spill files may remain.
+    std::vector<std::string> left = NewSpillFiles(r->spill_parent, before);
+    EXPECT_TRUE(left.empty()) << left.front();
+    if (r->cluster) r->cluster->Shutdown();
+    if (!r->tmpdir.empty()) RemoveTree(r->tmpdir);
+  }
 }
 
 }  // namespace
