@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths: value
-// serialization, the record format, sort+group, XML-RPC framing, Halton
-// generation, and the MiniPy engines — the per-sample rates behind Fig 3.
+// serialization, the record format, payload checksums, sort+group, XML-RPC
+// framing, Halton generation, and the MiniPy engines — the per-sample rates
+// behind Fig 3.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "halton/halton.h"
 #include "halton/pi_kernel.h"
+#include "http/message.h"
 #include "interp/treewalk.h"
 #include "interp/vm.h"
 #include "rng/mt19937_64.h"
@@ -46,6 +48,30 @@ void BM_DecodeBinaryRecords(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DecodeBinaryRecords)->Arg(100)->Arg(10000);
+
+// The checksum layer: every bucket payload is hashed once per spill write
+// and once per verifying read.  ContentChecksum is XXH64; Fnv1aChecksum is
+// the form a data server still computes for peers that predate XXH64.
+std::string RandomBytes(int64_t n) {
+  std::string data(static_cast<size_t>(n), '\0');
+  MT19937_64 rng(11);
+  for (char& c : data) c = static_cast<char>(rng.NextU64());
+  return data;
+}
+
+void BM_ContentChecksum(benchmark::State& state) {
+  const std::string data = RandomBytes(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(ContentChecksum(data));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ContentChecksum)->Arg(64 << 10)->Arg(1 << 20);
+
+void BM_Fnv1aChecksum(benchmark::State& state) {
+  const std::string data = RandomBytes(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(Fnv1aChecksum(data));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Fnv1aChecksum)->Arg(64 << 10)->Arg(1 << 20);
 
 void BM_SortGroup(benchmark::State& state) {
   auto records = MakeRecords(static_cast<int>(state.range(0)));

@@ -139,6 +139,11 @@ Result<std::vector<BucketFrame>> DecodeBucketFrames(std::string_view body) {
   }
   ByteReader r(body.substr(kBucketFramesFormat.size()));
   MRS_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
+  // A frame is at least its three length prefixes.
+  if (count > r.remaining() / 3) {
+    return DataLossError("bucket frame count " + std::to_string(count) +
+                         " exceeds the body");
+  }
   std::vector<BucketFrame> frames;
   frames.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -146,7 +151,7 @@ Result<std::vector<BucketFrame>> DecodeBucketFrames(std::string_view body) {
     MRS_ASSIGN_OR_RETURN(f.id, r.GetLengthPrefixed());
     MRS_ASSIGN_OR_RETURN(f.checksum, r.GetLengthPrefixed());
     MRS_ASSIGN_OR_RETURN(f.data, r.GetLengthPrefixed());
-    if (ContentChecksum(f.data) != f.checksum) {
+    if (!ChecksumMatches(f.data, f.checksum)) {
       return DataLossError("bucket frame " + f.id +
                            " checksum mismatch in batched transfer");
     }

@@ -118,9 +118,11 @@ std::string BucketFileName(std::string_view dataset_id, int source, int split);
 /// One bucket body in a batched transfer.  `checksum` is
 /// ContentChecksum(data), computed once when the bucket was published, so
 /// the integrity guard travels inside the frame (no whole-body re-hash).
+/// A data server answering a peer that predates XXH64 sends
+/// Fnv1aChecksum(data) instead (http/message.h).
 struct BucketFrame {
   std::string id;        // "<dataset>/<source>/<split>"
-  std::string checksum;  // ContentChecksum(data)
+  std::string checksum;  // ContentChecksum(data) or Fnv1aChecksum(data)
   std::string data;      // encoded binary records
 };
 
@@ -131,9 +133,10 @@ inline constexpr std::string_view kBucketFramesFormat = "mrsk1";
 /// length-prefixed id, checksum, and data.
 std::string EncodeBucketFrames(const std::vector<BucketFrame>& frames);
 
-/// Parse and verify an encoded frame set.  Any truncation, bad magic, or
-/// per-frame checksum mismatch is kDataLoss (retryable — the caller
-/// refetches instead of decoding a corrupt body).
+/// Parse and verify an encoded frame set, each frame with the algorithm its
+/// checksum names.  Any truncation, bad magic, frame count the body cannot
+/// hold, or per-frame checksum mismatch is kDataLoss (retryable — the
+/// caller refetches instead of decoding a corrupt body).
 Result<std::vector<BucketFrame>> DecodeBucketFrames(std::string_view body);
 
 /// Decode a bucket body that is either a plain record stream or — when the

@@ -5,38 +5,17 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "common/bytes.h"
 #include "common/strings.h"
 #include "fs/bucket.h"
 #include "fs/file_io.h"
+#include "http/message.h"
 #include "obs/metrics.h"
 #include "ser/record.h"
 
 namespace mrs {
-
-namespace {
-
-uint64_t Fnv1a64Feed(uint64_t h, const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::string ChecksumString(uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-
-}  // namespace
 
 SpillRunSource::SpillRunSource(SpillRun run, size_t buffer_bytes)
     : run_(std::move(run)), buffer_bytes_(std::max<size_t>(buffer_bytes, 4096)) {}
@@ -92,12 +71,12 @@ Status SpillRunSource::Open() {
   // single record, so corruption anywhere in the run is kDataLoss at the
   // first Next(), never partially-emitted garbage.  The second pass below
   // re-reads from the page cache; memory stays O(buffer).
-  uint64_t hash = kFnvOffsetBasis;
+  ChecksumVerifier verifier(*checksum);
   uint64_t left = *payload_len;
   {
     // The head buffer already holds the payload's first bytes.
     size_t in_head = std::min<uint64_t>(head.size() - header_size, left);
-    hash = Fnv1a64Feed(hash, head.data() + header_size, in_head);
+    verifier.Update(std::string_view(head).substr(header_size, in_head));
     left -= in_head;
   }
   uint64_t at = run_.offset + head.size();
@@ -107,11 +86,11 @@ Status SpillRunSource::Open() {
         std::min<uint64_t>(left, chunk.size()));
     MRS_ASSIGN_OR_RETURN(size_t n, ReadAt(fd_, at, chunk.data(), want));
     if (n == 0) return Corrupt("truncated payload");
-    hash = Fnv1a64Feed(hash, chunk.data(), n);
+    verifier.Update(std::string_view(chunk.data(), n));
     left -= n;
     at += n;
   }
-  if (ChecksumString(hash) != *checksum) {
+  if (!verifier.Matches()) {
     return Corrupt("payload checksum mismatch");
   }
 

@@ -109,7 +109,10 @@ struct SpillRun {
   uint64_t offset = 0;  // first byte of the run's frame set in `path`
   uint64_t length = 0;  // frame set size in bytes
   std::string id;
-  std::string checksum;  // ContentChecksum of the encoded record payload
+  // ContentChecksum of the encoded record payload ("xxh64:" and 16 hex
+  // digits), also written in the run's frame.  A read checks that the
+  // frame carries this value and that the payload matches it.
+  std::string checksum;
   uint64_t records = 0;
   uint64_t bytes = 0;  // encoded payload size
   bool sorted = false;  // ordered by (key, value); false = FIFO

@@ -201,13 +201,11 @@ Status VerifyFetchChecksum(std::string_view url, const HttpResponse& resp) {
   // Integrity guard: mrs data servers attach a checksum so a truncated or
   // corrupted body is detected here (kDataLoss, retryable) rather than
   // failing obscurely — or succeeding silently — during record decode.
-  if (auto sum = resp.headers.Get(kMrsChecksumHeader); sum.has_value()) {
-    std::string actual = ContentChecksum(resp.body);
-    if (*sum != actual) {
-      return DataLossError("checksum mismatch fetching " + std::string(url) +
-                           " (got " + actual + ", header said " +
-                           std::string(*sum) + ")");
-    }
+  if (auto sum = resp.headers.Get(kMrsChecksumHeader);
+      sum.has_value() && !ChecksumMatches(resp.body, *sum)) {
+    return DataLossError("checksum mismatch fetching " + std::string(url) +
+                         " (" + std::to_string(resp.body.size()) +
+                         " bytes, header said " + std::string(*sum) + ")");
   }
   return Status::Ok();
 }

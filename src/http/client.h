@@ -66,13 +66,14 @@ class HttpClient {
 /// anything else is kInternal.
 Status FetchStatusFromHttpCode(std::string_view url, int code);
 
-/// Verify the X-Mrs-Checksum integrity guard when the response carries it;
-/// mismatch is kDataLoss (retryable — refetch beats decoding a truncated
-/// payload).
+/// Verify the X-Mrs-Checksum integrity guard when the response carries it,
+/// with the algorithm its value names; mismatch is kDataLoss (retryable —
+/// refetch beats decoding a truncated payload).
 Status VerifyFetchChecksum(std::string_view url, const HttpResponse& resp);
 
 /// GET a full URL on a pooled keep-alive connection (ConnectionPool), with
-/// the status mapping and checksum guard above.  (Implemented in pool.cpp.)
+/// the status mapping and checksum guard above.  The request carries the
+/// kXxh64ChecksumFormat token.  (Implemented in pool.cpp.)
 Result<std::string> HttpFetch(std::string_view url);
 
 }  // namespace mrs

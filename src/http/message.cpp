@@ -80,11 +80,53 @@ HttpResponse HttpResponse::Make(int code, std::string_view reason,
   return resp;
 }
 
-std::string ContentChecksum(std::string_view body) {
+namespace {
+
+constexpr std::string_view kXxh64Prefix = "xxh64:";
+
+std::string Hex64(uint64_t h) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(Fnv1a64(body)));
+                static_cast<unsigned long long>(h));
   return std::string(buf);
+}
+
+std::string Xxh64Form(uint64_t h) {
+  return std::string(kXxh64Prefix) + Hex64(h);
+}
+
+}  // namespace
+
+std::string ContentChecksum(std::string_view body) {
+  return Xxh64Form(Xxh64Hash(body));
+}
+
+std::string Fnv1aChecksum(std::string_view body) {
+  return Hex64(Fnv1a64(body));
+}
+
+ChecksumVerifier::ChecksumVerifier(std::string_view expected)
+    : expected_(expected), is_xxh64_(StartsWith(expected, kXxh64Prefix)) {}
+
+void ChecksumVerifier::Update(std::string_view data) {
+  if (is_xxh64_) {
+    xxh64_.Update(data);
+  } else {
+    fnv1a_ = Fnv1a64(data, fnv1a_);
+  }
+}
+
+bool ChecksumVerifier::Matches() const {
+  // Producers spell values exactly this way, so comparing the spelling
+  // rejects every other form.
+  return expected_ ==
+         (is_xxh64_ ? Xxh64Form(xxh64_.Digest()) : Hex64(fnv1a_));
+}
+
+bool ChecksumMatches(std::string_view body, std::string_view checksum) {
+  ChecksumVerifier verifier(checksum);
+  verifier.Update(body);
+  return verifier.Matches();
 }
 
 bool FormatAccepted(const HttpHeaders& headers, std::string_view format) {

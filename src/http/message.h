@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace mrs {
@@ -75,24 +76,60 @@ struct HttpResponse {
 std::pair<std::string_view, std::string_view> SplitTarget(
     std::string_view target);
 
-/// End-to-end integrity header for bucket transfers.  Servers that set it
-/// (the slave data servers do) promise the value equals
-/// ContentChecksum(body); HttpFetch verifies and reports kDataLoss on
-/// mismatch so the retry layer re-fetches instead of parsing a truncated
-/// or corrupted payload.
+/// End-to-end integrity header for bucket transfers.  A data server sets
+/// it on a plain bucket body (a frame-set body carries one checksum per
+/// frame instead) and promises that the value is the body's checksum in
+/// the form the request negotiated (kXxh64ChecksumFormat).  HttpFetch
+/// verifies it when present, by the algorithm the value names, and reports
+/// kDataLoss on mismatch so the retry layer re-fetches instead of parsing
+/// a truncated or corrupted payload.
 inline constexpr std::string_view kMrsChecksumHeader = "X-Mrs-Checksum";
 
-/// Hex FNV-1a of the payload (cheap, deterministic; not cryptographic).
+/// The payload checksum every producer writes: "xxh64:" followed by the
+/// 16 lowercase hex digits of XXH64(body), seed 0.  The prefix names the
+/// algorithm, so it never collides with the older form below (cheap and
+/// deterministic; not cryptographic).
 std::string ContentChecksum(std::string_view body);
+
+/// The form peers that predate XXH64 write and verify: 16 bare lowercase
+/// hex digits of FNV-1a.  Produced only for a request that lacks the
+/// kXxh64ChecksumFormat token.
+std::string Fnv1aChecksum(std::string_view body);
+
+/// Checks bytes fed in any split against a checksum value of either form,
+/// with the algorithm the value names.  A value of any other form never
+/// matches.
+class ChecksumVerifier {
+ public:
+  explicit ChecksumVerifier(std::string_view expected);
+
+  void Update(std::string_view data);
+  bool Matches() const;
+
+ private:
+  std::string expected_;
+  bool is_xxh64_;  // else FNV-1a
+  Xxh64 xxh64_;
+  uint64_t fnv1a_ = kFnv1a64Basis;
+};
+
+/// One-shot ChecksumVerifier: does `body` match `checksum`?
+bool ChecksumMatches(std::string_view body, std::string_view checksum);
 
 /// Content negotiation for mrs's binary wire formats.  A request lists the
 /// formats it accepts as a comma-separated X-Mrs-Format header
-/// ("mrsk1, mrsx1"); the response names the one actually used in the same
-/// header, or omits it for the plain (XML / raw-body) encoding.  Peers
-/// that predate a format simply never emit the token — old servers ignore
-/// the request header, old clients never send it — so mixed clusters
-/// degrade to the plain encoding instead of failing.
+/// ("mrsk1, xxh64"); the response names the frame or RPC format actually
+/// used in the same header, or omits it for the plain (XML / raw-body)
+/// encoding.  Peers that predate a format simply never emit the token —
+/// old servers ignore the request header, old clients never send it — so
+/// mixed clusters degrade to the plain encoding instead of failing.
 inline constexpr std::string_view kMrsFormatHeader = "X-Mrs-Format";
+
+/// X-Mrs-Format token of a bucket request whose sender reads
+/// ContentChecksum values.  The response does not echo it: checksum values
+/// name their own algorithm.  A data server answers a request without it
+/// with Fnv1aChecksum values in the header and in every frame.
+inline constexpr std::string_view kXxh64ChecksumFormat = "xxh64";
 
 /// True if `headers` carries an X-Mrs-Format token equal to `format`.
 bool FormatAccepted(const HttpHeaders& headers, std::string_view format);

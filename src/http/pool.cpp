@@ -168,8 +168,13 @@ void ConnectionPool::UpdateGaugesLocked() {
 
 Result<std::string> HttpFetch(std::string_view url) {
   MRS_ASSIGN_OR_RETURN(HttpUrl parsed, HttpUrl::Parse(url));
-  Result<HttpResponse> got = ConnectionPool::Instance().Get(
-      SocketAddr{parsed.host, parsed.port}, parsed.target);
+  HttpRequest req;
+  req.method = "GET";
+  req.target = parsed.target;
+  req.headers.Set(std::string(kMrsFormatHeader),
+                  std::string(kXxh64ChecksumFormat));
+  Result<HttpResponse> got = ConnectionPool::Instance().Do(
+      SocketAddr{parsed.host, parsed.port}, std::move(req));
   if (!got.ok()) {
     // Keep the URL in the message: the slave's failure report extracts it
     // as bad_url, which is what triggers the master's lineage recovery

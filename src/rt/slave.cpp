@@ -67,7 +67,62 @@ Result<std::vector<BucketFrame>> RunBackedFrames(
   }
   return frames;
 }
+
+/// Re-checksum frames for a peer that predates XXH64: FNV-1a, but only
+/// over data that still matches its stored value.  A corrupt frame keeps
+/// its stored value, which the old peer cannot match, so it sees kDataLoss
+/// as a new peer would.
+std::string Fnv1aIfIntact(std::string_view data, std::string checksum) {
+  return ChecksumMatches(data, checksum) ? Fnv1aChecksum(data)
+                                         : std::move(checksum);
+}
+
+void UseFnv1a(std::vector<BucketFrame>& frames) {
+  for (BucketFrame& f : frames) {
+    f.checksum = Fnv1aIfIntact(f.data, std::move(f.checksum));
+  }
+}
 }  // namespace
+
+Result<std::map<std::string, std::string>> FetchBucketBatch(
+    const std::string& base, const std::vector<std::string>& bucket_ids) {
+  MRS_ASSIGN_OR_RETURN(HttpUrl parsed, HttpUrl::Parse(base));
+  HttpRequest req;
+  req.method = "GET";
+  req.target = "/bucket?ids=" + Join(bucket_ids, ",");
+  req.headers.Set(std::string(kMrsFormatHeader),
+                  std::string(kBucketFramesFormat) + ", " +
+                      std::string(kXxh64ChecksumFormat));
+  const std::string url = base + req.target;
+  MRS_ASSIGN_OR_RETURN(
+      HttpResponse resp,
+      ConnectionPool::Instance().Do(SocketAddr{parsed.host, parsed.port},
+                                    std::move(req)));
+  MRS_RETURN_IF_ERROR(FetchStatusFromHttpCode(url, resp.status_code));
+  auto fmt = resp.headers.Get(kMrsFormatHeader);
+  if (!fmt.has_value() || *fmt != kBucketFramesFormat) {
+    return ProtocolError("batch from " + base + " not answered in mrsk1");
+  }
+  MRS_ASSIGN_OR_RETURN(std::vector<BucketFrame> frames,
+                       DecodeBucketFrames(resp.body));
+  // Plain buckets arrive one frame each; a run-backed bucket arrives as
+  // several "<id>#run<i>" frames, re-encoded here into one frame-set body
+  // per bucket (run order preserved) that DecodeBucketBody reassembles.
+  std::map<std::string, std::string> bodies;
+  std::map<std::string, std::vector<BucketFrame>> run_backed;
+  for (BucketFrame& f : frames) {
+    size_t mark = f.id.rfind("#run");
+    if (mark == std::string::npos) {
+      bodies[f.id] = std::move(f.data);
+    } else {
+      run_backed[f.id.substr(0, mark)].push_back(std::move(f));
+    }
+  }
+  for (auto& [bucket_id, bucket_frames] : run_backed) {
+    bodies[bucket_id] = EncodeBucketFrames(bucket_frames);
+  }
+  return bodies;
+}
 
 void RequestProcessDrain() {
   g_process_drain.store(true, std::memory_order_relaxed);
@@ -202,8 +257,10 @@ void Slave::Crash() {
 
 HttpResponse Slave::ServeData(const HttpRequest& req) {
   auto [path, query] = SplitTarget(req.target);
+  // Without the token the request comes from a peer that predates XXH64.
+  const bool xxh64 = FormatAccepted(req.headers, kXxh64ChecksumFormat);
   if (path == "/bucket" && FormatAccepted(req.headers, kBucketFramesFormat)) {
-    return ServeBucketBatch(query);
+    return ServeBucketBatch(query, xxh64);
   }
   if (!StartsWith(path, "/bucket/")) return HttpResponse::NotFound();
   std::string key(path.substr(8));
@@ -215,16 +272,18 @@ HttpResponse Slave::ServeData(const HttpRequest& req) {
     stored = it->second;
   }
   if (stored.runs.empty()) {
+    std::string checksum =
+        xxh64 ? std::move(stored.checksum)
+              : Fnv1aIfIntact(stored.data, std::move(stored.checksum));
     HttpResponse resp =
         HttpResponse::Ok(std::move(stored.data), "application/octet-stream");
-    resp.headers.Set(std::string(kMrsChecksumHeader), stored.checksum);
+    resp.headers.Set(std::string(kMrsChecksumHeader), std::move(checksum));
     return resp;
   }
   // Run-backed: stream the spill runs into an mrsk1 frame set (file IO
-  // happens outside the store lock).  The whole-body checksum is computed
-  // over the assembled bytes, so transport integrity and on-disk integrity
-  // are guarded independently — the latter by the per-frame checksums the
-  // client verifies.
+  // happens outside the store lock).  As in a batched transfer, there is
+  // no whole-body checksum: each frame's checksum guards its data, and the
+  // client's exact framing turns truncation into kDataLoss.
   static obs::Counter* served =
       obs::Registry::Instance().GetCounter("mrs.spill.buckets_served");
   Result<std::vector<BucketFrame>> frames = RunBackedFrames(key, stored.runs);
@@ -233,15 +292,12 @@ HttpResponse Slave::ServeData(const HttpRequest& req) {
                                   frames.status().ToString());
   }
   served->Inc();
-  std::string body = EncodeBucketFrames(*frames);
-  HttpResponse resp = HttpResponse::Ok(std::move(body),
-                                       "application/octet-stream");
-  resp.headers.Set(std::string(kMrsChecksumHeader),
-                   ContentChecksum(resp.body));
-  return resp;
+  if (!xxh64) UseFnv1a(*frames);
+  return HttpResponse::Ok(EncodeBucketFrames(*frames),
+                          "application/octet-stream");
 }
 
-HttpResponse Slave::ServeBucketBatch(std::string_view query) {
+HttpResponse Slave::ServeBucketBatch(std::string_view query, bool xxh64) {
   std::string_view ids;
   for (std::string_view kv : SplitChar(query, '&')) {
     if (StartsWith(kv, "ids=")) ids = kv.substr(4);
@@ -282,6 +338,7 @@ HttpResponse Slave::ServeBucketBatch(std::string_view query) {
     }
     for (BucketFrame& f : *run_frames) frames.push_back(std::move(f));
   }
+  if (!xxh64) UseFnv1a(frames);
   HttpResponse resp = HttpResponse::Ok(EncodeBucketFrames(frames),
                                        "application/octet-stream");
   resp.headers.Set(std::string(kMrsFormatHeader),
@@ -354,59 +411,23 @@ void Slave::BatchPrefetch(const TaskAssignment& assignment,
   }
   for (const auto& [base, bucket_ids] : by_peer) {
     if (bucket_ids.size() < 2) continue;  // nothing to amortise
-    Result<HttpUrl> parsed = HttpUrl::Parse(base);
-    if (!parsed.ok()) continue;
     batch_fetches->Inc();
     // Single attempt, no retry: this is an opportunistic fast path.  Any
     // failure — chaos fault, dead peer, an old peer 404ing the bare
-    // /bucket path — leaves the URLs to the per-URL fetcher, which owns
-    // retry/backoff and bad_url lineage reporting.
-    Result<HttpResponse> got = [&]() -> Result<HttpResponse> {
-      if (DrawFetchFault()) {
-        return UnavailableError("injected fetch fault (chaos): batch " + base);
-      }
-      HttpRequest req;
-      req.method = "GET";
-      req.target = "/bucket?ids=" + Join(bucket_ids, ",");
-      req.headers.Set(std::string(kMrsFormatHeader),
-                      std::string(kBucketFramesFormat));
-      return ConnectionPool::Instance().Do(
-          SocketAddr{parsed->host, parsed->port}, std::move(req));
-    }();
-    if (!got.ok() || got->status_code != 200) {
+    // /bucket path, a corrupt payload — leaves the URLs to the per-URL
+    // fetcher, which owns retry/backoff and bad_url lineage reporting.
+    Result<std::map<std::string, std::string>> bodies =
+        DrawFetchFault()
+            ? UnavailableError("injected fetch fault (chaos): batch " + base)
+            : FetchBucketBatch(base, bucket_ids);
+    if (!bodies.ok()) {
       batch_fallbacks->Inc();
       continue;
     }
-    auto fmt = got->headers.Get(kMrsFormatHeader);
-    if (!fmt.has_value() || *fmt != kBucketFramesFormat) {
-      batch_fallbacks->Inc();  // peer answered but not in mrsk1
-      continue;
+    for (auto& [bucket_id, body] : *bodies) {
+      (*out)[base + "/bucket/" + bucket_id] = std::move(body);
     }
-    Result<std::vector<BucketFrame>> frames = DecodeBucketFrames(got->body);
-    if (!frames.ok()) {
-      batch_fallbacks->Inc();  // corrupt payload; per-URL path will retry
-      continue;
-    }
-    // Plain buckets arrive one frame each; a run-backed bucket arrives as
-    // several "<id>#run<i>" frames, re-encoded here into one frame-set
-    // body per bucket (run order preserved) that the fetch side's
-    // DecodeBucketBody reassembles.
-    size_t fetched_buckets = 0;
-    std::map<std::string, std::vector<BucketFrame>> run_backed;
-    for (BucketFrame& f : *frames) {
-      size_t mark = f.id.rfind("#run");
-      if (mark == std::string::npos) {
-        (*out)[base + "/bucket/" + f.id] = std::move(f.data);
-        ++fetched_buckets;
-      } else {
-        run_backed[f.id.substr(0, mark)].push_back(std::move(f));
-      }
-    }
-    for (auto& [bucket_id, bucket_frames] : run_backed) {
-      (*out)[base + "/bucket/" + bucket_id] = EncodeBucketFrames(bucket_frames);
-      ++fetched_buckets;
-    }
-    batch_buckets->Inc(static_cast<int64_t>(fetched_buckets));
+    batch_buckets->Inc(static_cast<int64_t>(bodies->size()));
   }
 }
 

@@ -133,8 +133,9 @@ class Slave {
   /// "GET /bucket?ids=a,b,c" — every requested bucket in one mrsk1 frame
   /// set (negotiated via X-Mrs-Format).  Any missing id fails the whole
   /// batch with 404; the fetching peer falls back to per-bucket GETs,
-  /// which pin down exactly which bucket is gone.
-  HttpResponse ServeBucketBatch(std::string_view query);
+  /// which pin down exactly which bucket is gone.  Frame checksums are
+  /// FNV-1a unless the request named `xxh64`.
+  HttpResponse ServeBucketBatch(std::string_view query, bool xxh64);
   Status ExecuteAssignment(const TaskAssignment& assignment);
   /// Best-effort batched pull of this assignment's http inputs, one round
   /// trip per peer that hosts two or more of them.  Successfully fetched
@@ -169,8 +170,9 @@ class Slave {
   double ping_drop_until_ = 0;  // ping thread only; 0 = window not started
 
   // In-memory bucket store: "<dataset>/<source>/<split>" -> payload with
-  // its checksum, computed once at publish time and attached to every
-  // response so fetchers can detect truncation.  A bucket that spilled
+  // its ContentChecksum, computed once at publish time and attached to
+  // every response so fetchers can detect truncation (recomputed as
+  // FNV-1a for a peer that predates XXH64).  A bucket that spilled
   // under the memory budget is stored run-backed instead: `runs` names its
   // on-disk spill runs (byte ranges of the producing attempt's spill file)
   // and `data` stays empty — the runs are streamed into an mrsk1 frame set
@@ -194,6 +196,15 @@ class Slave {
   std::map<std::string, std::vector<KeyValue>> resident_cache_
       MRS_GUARDED_BY(store_mutex_);
 };
+
+/// One batched bucket transfer: GET <base>/bucket?ids=<ids> on a pooled
+/// connection, accepting mrsk1 frames with XXH64 checksums.  Returns each
+/// bucket's body by id; a run-backed bucket's "<id>#run<i>" frames come
+/// back re-encoded as one frame set, which DecodeBucketBody reassembles.
+/// An error status, an answer not in mrsk1, or a frame that fails its
+/// checksum is an error (the caller falls back to per-bucket GETs).
+Result<std::map<std::string, std::string>> FetchBucketBatch(
+    const std::string& base, const std::vector<std::string>& bucket_ids);
 
 /// Process-wide drain flag for the quickstart binary's SIGTERM handler:
 /// a lone atomic store, so it is safe to call from a signal context.  The

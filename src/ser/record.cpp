@@ -26,7 +26,11 @@ Result<std::vector<KeyValue>> DecodeBinaryRecords(std::string_view data) {
   }
   ByteReader r(data.substr(kBinaryRecordMagic.size()));
   MRS_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  if (n > (1ull << 32)) return DataLossError("absurd record count");
+  // A record is at least its key and value tags.
+  if (n > r.remaining() / 2) {
+    return DataLossError("record count " + std::to_string(n) +
+                         " exceeds the body");
+  }
   std::vector<KeyValue> out;
   out.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -83,7 +87,16 @@ class ReprParser {
       if (is_bytes) ++pos_;
       return ParseQuoted(is_bytes);
     }
-    if (c == '[') return ParseList();
+    if (c == '[') {
+      if (depth_ == kMaxValueDepth) {
+        return DataLossError("list repr nested deeper than " +
+                             std::to_string(kMaxValueDepth));
+      }
+      ++depth_;
+      Result<Value> list = ParseList();
+      --depth_;
+      return list;
+    }
     return ParseNumber();
   }
 
@@ -182,6 +195,7 @@ class ReprParser {
 
   std::string_view s_;
   size_t pos_ = 0;
+  int depth_ = 0;  // lists open around pos_
 };
 
 }  // namespace

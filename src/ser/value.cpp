@@ -115,7 +115,10 @@ void Value::Serialize(ByteWriter* writer) const {
   }
 }
 
-Result<Value> Value::Deserialize(ByteReader* reader) {
+namespace {
+
+Result<Value> DeserializeAt(ByteReader* reader, int depth) {
+  using Type = Value::Type;
   MRS_ASSIGN_OR_RETURN(uint8_t tag, reader->GetU8());
   switch (static_cast<Type>(tag)) {
     case Type::kNone:
@@ -137,18 +140,32 @@ Result<Value> Value::Deserialize(ByteReader* reader) {
       return Value::BytesValue(std::move(s));
     }
     case Type::kList: {
+      if (depth == kMaxValueDepth) {
+        return DataLossError("list nested deeper than " +
+                             std::to_string(kMaxValueDepth));
+      }
       MRS_ASSIGN_OR_RETURN(uint64_t n, reader->GetVarint());
-      if (n > (1ull << 30)) return DataLossError("absurd list length");
+      // An element is at least its tag byte.
+      if (n > reader->remaining()) {
+        return DataLossError("list length " + std::to_string(n) +
+                             " exceeds the body");
+      }
       ValueList list;
       list.reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
-        MRS_ASSIGN_OR_RETURN(Value v, Deserialize(reader));
+        MRS_ASSIGN_OR_RETURN(Value v, DeserializeAt(reader, depth + 1));
         list.push_back(std::move(v));
       }
       return Value(std::move(list));
     }
   }
   return DataLossError("unknown Value tag: " + std::to_string(tag));
+}
+
+}  // namespace
+
+Result<Value> Value::Deserialize(ByteReader* reader) {
+  return DeserializeAt(reader, 0);
 }
 
 std::string Value::Repr() const {

@@ -22,6 +22,10 @@ namespace mrs {
 class Value;
 using ValueList = std::vector<Value>;
 
+/// Deepest list nesting that decoding (binary or repr) accepts; decoders
+/// recurse once per level, so the cap bounds their stack use.
+inline constexpr int kMaxValueDepth = 256;
+
 class Value {
  public:
   enum class Type : uint8_t {
@@ -80,7 +84,9 @@ class Value {
   /// hash equally, including int/double values that compare equal.
   uint64_t Hash() const;
 
-  /// Tagged binary encoding.
+  /// Tagged binary encoding.  Deserialize reads peer bytes: a list nested
+  /// deeper than kMaxValueDepth, or a length the remaining bytes cannot
+  /// hold, is kDataLoss.
   void Serialize(ByteWriter* writer) const;
   static Result<Value> Deserialize(ByteReader* reader);
 

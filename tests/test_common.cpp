@@ -219,6 +219,43 @@ TEST(Hash, Fnv1a64KnownVectors) {
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
+  // Continuing from a previous result hashes the concatenation.
+  EXPECT_EQ(Fnv1a64("bar", Fnv1a64("foo")), Fnv1a64("foobar"));
+}
+
+TEST(Hash, Xxh64KnownVectors) {
+  // Reference values for XXH64 with seed 0.
+  EXPECT_EQ(Xxh64Hash(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(Xxh64Hash("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(Xxh64Hash("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(Xxh64Hash("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+}
+
+TEST(Hash, Xxh64StreamedInAnySplitMatchesOneShot) {
+  // 200 bytes cover whole 32-byte stripes and every tail length; each cut
+  // also tests a partial stripe carried across Update calls.
+  std::string input(200, '\0');
+  for (size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<char>(i * 37 + 11);
+  }
+  const std::string_view all(input);
+  const uint64_t expected = Xxh64Hash(all);
+  for (size_t cut = 0; cut <= all.size(); ++cut) {
+    Xxh64 h;
+    h.Update(all.substr(0, cut));
+    h.Update(all.substr(cut));
+    EXPECT_EQ(h.Digest(), expected) << "cut at " << cut;
+  }
+  Xxh64 bytewise;
+  for (char c : input) bytewise.Update(std::string_view(&c, 1));
+  EXPECT_EQ(bytewise.Digest(), expected);
+  // Every prefix hashes as a one-shot of that prefix (Digest is not final).
+  Xxh64 running;
+  for (size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(running.Digest(), Xxh64Hash(all.substr(0, i))) << i;
+    running.Update(all.substr(i, 1));
+  }
 }
 
 TEST(Hash, SplitMix64IsBijectiveOnSample) {

@@ -3,6 +3,7 @@
 
 #include <cstring>
 
+#include "common/bytes.h"
 #include "fs/bucket.h"
 #include "fs/file_io.h"
 #include "http/message.h"
@@ -278,6 +279,76 @@ TEST(BucketFrames, CorruptionIsDataLoss) {
   corrupt[corrupt.size() - 60] ^= 0x01;
   EXPECT_EQ(DecodeBucketFrames(corrupt).status().code(),
             StatusCode::kDataLoss);
+}
+
+TEST(BucketFrames, FrameCountBeyondTheBodyIsDataLoss) {
+  // 14 bytes: the magic and a count near 2^62 with no frames behind it.
+  Bytes count;
+  ByteWriter(&count).PutVarint((1ull << 62) + 5);
+  const std::string body =
+      std::string(kBucketFramesFormat) + std::string(count.begin(), count.end());
+  ASSERT_EQ(body.size(), 14u);
+  EXPECT_EQ(DecodeBucketFrames(body).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeBucketBody(body).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(BucketFrames, OldPeerFnv1aFramesVerifyAndStillCatchCorruption) {
+  // A peer that predates XXH64 checksums frames with bare-hex FNV-1a.
+  const std::vector<KeyValue> records = {{Value("k"), Value(int64_t{1})},
+                                         {Value("k"), Value(int64_t{2})}};
+  const std::string payload = EncodeBinaryRecords(records);
+  std::vector<BucketFrame> frames = {{"1/0/0#run0", Fnv1aChecksum(payload),
+                                      payload},
+                                     {"1/0/0#run1", ContentChecksum(payload),
+                                      payload}};
+  const std::string body = EncodeBucketFrames(frames);
+  auto decoded = DecodeBucketBody(body);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->size(), 4u);
+  // The last byte of each frame's payload, flipped.
+  for (size_t at : {body.find(payload) + payload.size() - 1, body.size() - 1}) {
+    std::string corrupt = body;
+    corrupt[at] ^= 0x01;
+    EXPECT_EQ(DecodeBucketFrames(corrupt).status().code(),
+              StatusCode::kDataLoss)
+        << "flip at " << at;
+  }
+}
+
+// ---- Checksum forms --------------------------------------------------------
+
+TEST(ContentChecksum, NamesXxh64AndKeepsTheOldFnv1aForm) {
+  EXPECT_EQ(ContentChecksum(""), "xxh64:ef46db3751d8e999");
+  EXPECT_EQ(ContentChecksum("abc"), "xxh64:44bc2cf5ad770999");
+  EXPECT_EQ(Fnv1aChecksum(""), "cbf29ce484222325");
+  EXPECT_EQ(Fnv1aChecksum("a"), "af63dc4c8601ec8c");
+}
+
+TEST(ContentChecksum, VerifiesWithTheAlgorithmTheValueNames) {
+  const std::string body = "a payload longer than one 32-byte XXH64 stripe";
+  const std::string xxh64 = ContentChecksum(body);
+  const std::string fnv1a = Fnv1aChecksum(body);
+  EXPECT_TRUE(ChecksumMatches(body, xxh64));
+  EXPECT_TRUE(ChecksumMatches(body, fnv1a));
+  EXPECT_FALSE(ChecksumMatches(body + "!", xxh64));
+  EXPECT_FALSE(ChecksumMatches(body + "!", fnv1a));
+  // One algorithm's digits under the other's name never match, and
+  // neither does a value of any other form.
+  const std::string xxh64_digits = xxh64.substr(6);
+  for (const std::string& bad :
+       {xxh64_digits, "xxh64:" + fnv1a, std::string(), std::string("xxh64:"),
+        "crc32:" + xxh64_digits, xxh64 + "0", fnv1a.substr(1)}) {
+    EXPECT_FALSE(ChecksumMatches(body, bad)) << bad;
+  }
+  EXPECT_FALSE(ChecksumMatches("", "xxh64:EF46DB3751D8E999"));
+  // Streaming in pieces gives the one-shot verdict.
+  for (const std::string& expected : {xxh64, fnv1a}) {
+    ChecksumVerifier verifier(expected);
+    for (size_t at = 0; at < body.size(); at += 5) {
+      verifier.Update(std::string_view(body).substr(at, 5));
+    }
+    EXPECT_TRUE(verifier.Matches()) << expected;
+  }
 }
 
 }  // namespace

@@ -92,6 +92,16 @@ TEST(Value, IntDoubleEqualImpliesEqualHash) {
   EXPECT_EQ(Value(int64_t{7}).Hash(), Value(7.0).Hash());
 }
 
+TEST(Value, HashIsPinnedToFnv1aOfTheSerializedForm) {
+  // The default partitioner routes keys by Hash(): a new value here would
+  // move keys between reduce splits and change every job's output files.
+  EXPECT_EQ(Value().Hash(), 0xaf63bd4c8601b7dfull);
+  EXPECT_EQ(Value(int64_t{7}).Hash(), 0x082f1807b4e87bc6ull);
+  EXPECT_EQ(Value("key").Hash(), 0x3e88c2f98ef1337aull);
+  EXPECT_EQ(Value(ValueList{Value(int64_t{1}), Value("a")}).Hash(),
+            0xab6cb40227edd2d8ull);
+}
+
 TEST(Value, ListLexicographicOrder) {
   Value a(ValueList{Value(int64_t{1}), Value(int64_t{2})});
   Value b(ValueList{Value(int64_t{1}), Value(int64_t{3})});
@@ -278,6 +288,69 @@ TEST(Records, RandomizedBinaryRoundTrips) {
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(*out, records);
   }
+}
+
+// ---- Hostile bodies --------------------------------------------------------
+//
+// Every fetched bucket goes through these decoders.  Each body below once
+// aborted the process (an allocation sized by a count the body cannot
+// hold) or overflowed the stack (one recursion per nesting level); each
+// must be kDataLoss.
+
+std::string Varint(uint64_t v) {
+  Bytes buf;
+  ByteWriter(&buf).PutVarint(v);
+  return std::string(buf.begin(), buf.end());
+}
+
+std::string NestedLists(int depth) {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += "\x05\x01";  // kList, one element
+  return out + '\0';                                  // innermost None
+}
+
+TEST(HostileRecords, RecordCountBeyondTheBodyIsDataLoss) {
+  const std::string body = std::string(kBinaryRecordMagic) + Varint(0xffffffff);
+  ASSERT_EQ(body.size(), 11u);
+  EXPECT_EQ(DecodeBinaryRecords(body).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(HostileRecords, ListLengthBeyondTheBodyIsDataLoss) {
+  // One record whose key claims 2^30 elements.
+  const std::string body = std::string(kBinaryRecordMagic) + Varint(1) +
+                           "\x05" + Varint(1ull << 30);
+  ASSERT_EQ(body.size(), 13u);
+  EXPECT_EQ(DecodeBinaryRecords(body).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(HostileRecords, DeeplyNestedListIsDataLoss) {
+  // 400 KB: a key of 200000 nested one-element lists, and a None value.
+  const std::string body = std::string(kBinaryRecordMagic) + Varint(1) +
+                           NestedLists(200000) + '\0';
+  EXPECT_EQ(DecodeBinaryRecords(body).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(HostileRecords, DeeplyNestedReprIsDataLoss) {
+  const std::string text = "1\t" + std::string(400000, '[');
+  EXPECT_EQ(DecodeRecords(text).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(HostileRecords, NestingUpToTheDepthCapRoundTrips) {
+  Value v;
+  for (int i = 0; i < kMaxValueDepth; ++i) v = Value(ValueList{v});
+  const std::vector<KeyValue> records = {{v, Value()}};
+  auto binary = DecodeBinaryRecords(EncodeBinaryRecords(records));
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  EXPECT_EQ(*binary, records);
+  auto text = DecodeTextRecords(EncodeTextRecords(records));
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(*text, records);
+  // One level more is refused by both decoders.
+  const std::vector<KeyValue> deeper = {{Value(ValueList{v}), Value()}};
+  EXPECT_EQ(DecodeBinaryRecords(EncodeBinaryRecords(deeper)).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeTextRecords(EncodeTextRecords(deeper)).status().code(),
+            StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -45,10 +45,13 @@
 #include "fs/file_io.h"
 #include "fs/merge.h"
 #include "fs/spill.h"
+#include "http/client.h"
 #include "http/message.h"
+#include "http/server.h"
 #include "obs/metrics.h"
 #include "rt/cluster.h"
 #include "rt/mrs_main.h"
+#include "rt/slave.h"
 #include "ser/record.h"
 #include "sort/distsort.h"
 
@@ -1212,6 +1215,309 @@ TEST(SpillFiles, FailedAttemptLeavesNoSpillFile) {
     if (r->cluster) r->cluster->Shutdown();
     if (!r->tmpdir.empty()) RemoveTree(r->tmpdir);
   }
+}
+
+// ---- Mixed-version data plane ----------------------------------------------
+//
+// A bucket request without the xxh64 token comes from a peer that predates
+// XXH64, which checks a value v against data as Fnv1aChecksum(data) == v.
+// Every value it receives must pass that check, and a current peer must
+// receive XXH64 values only.  Run-backed buckets come from a 1-byte budget.
+
+/// One map job's output hosted by the single slave of a cluster.
+struct HostedMapOutput {
+  std::unique_ptr<ClusterLauncher> cluster;
+  SmallSort program;
+  std::unique_ptr<Job> job;
+  std::string base;              // "http://host:port" of the slave
+  std::vector<std::string> ids;  // "<dataset>/<source>/<split>"
+};
+
+Result<std::unique_ptr<HostedMapOutput>> HostMapOutput(
+    int64_t budget, int spill_corrupt = 0) {
+  auto hosted = std::make_unique<HostedMapOutput>();
+  MRS_RETURN_IF_ERROR(hosted->program.Init(Options()));
+  ClusterLauncher::Config config;
+  config.num_slaves = 1;
+  config.fault_plans.resize(1);
+  config.fault_plans[0].spill_corrupt = spill_corrupt;
+  MRS_ASSIGN_OR_RETURN(
+      hosted->cluster,
+      ClusterLauncher::Start([] { return std::make_unique<SmallSort>(); },
+                             Options(), config));
+  hosted->job = std::make_unique<Job>(
+      &hosted->program,
+      std::make_unique<MasterRunner>(&hosted->cluster->master()));
+  hosted->job->set_default_parallelism(4);
+  DataSetPtr mapped;
+  {
+    // Map tasks may start at submission, so the budget covers it.
+    ScopedBudget scoped(budget);
+    DataSetPtr input;
+    MRS_RETURN_IF_ERROR(hosted->program.InputData(*hosted->job, &input));
+    mapped = hosted->job->MapData(input);
+    MRS_RETURN_IF_ERROR(hosted->job->Wait(mapped));
+  }
+  for (int source = 0; source < mapped->num_sources(); ++source) {
+    for (int split = 0; split < mapped->num_splits(); ++split) {
+      const std::string& url = mapped->bucket(source, split).url();
+      size_t at = url.find("/bucket/");
+      if (at == std::string::npos) return InternalError("not served: " + url);
+      hosted->base = url.substr(0, at);
+      hosted->ids.push_back(url.substr(at + 8));
+    }
+  }
+  return hosted;
+}
+
+/// GET `target` the way a peer of either version asks for it.
+Result<HttpResponse> GetAs(bool new_peer, const std::string& base,
+                           const std::string& target) {
+  MRS_ASSIGN_OR_RETURN(HttpUrl url, HttpUrl::Parse(base));
+  HttpClient client(SocketAddr{url.host, url.port});
+  HttpRequest req;
+  req.target = target;
+  std::vector<std::string> tokens;
+  if (StartsWith(target, "/bucket?")) {
+    tokens.push_back(std::string(kBucketFramesFormat));
+  }
+  if (new_peer) tokens.push_back(std::string(kXxh64ChecksumFormat));
+  if (!tokens.empty()) {
+    req.headers.Set(std::string(kMrsFormatHeader), Join(tokens, ", "));
+  }
+  MRS_ASSIGN_OR_RETURN(HttpResponse resp, client.Do(std::move(req)));
+  if (resp.status_code != 200) {
+    return InternalError("GET " + target + " -> " +
+                         std::to_string(resp.status_code));
+  }
+  return resp;
+}
+
+/// A checksum value a response carried, with the bytes it guards.
+struct Guarded {
+  std::string what;
+  std::string checksum;
+  std::string data;
+};
+
+/// Every checksum in every single-bucket and batched response of `hosted`,
+/// fetched as a peer of the given version.  Counts the run-backed buckets
+/// (served as frame sets) in `*run_backed`.
+std::vector<Guarded> ChecksumsServedTo(bool new_peer,
+                                       const HostedMapOutput& hosted,
+                                       int* run_backed) {
+  std::vector<Guarded> out;
+  auto add_frames = [&out](const std::string& what, const std::string& body) {
+    // Parse without verifying, so that a value the peer could not verify
+    // is reported here rather than hidden behind a decode error.
+    ByteReader r(std::string_view(body).substr(kBucketFramesFormat.size()));
+    uint64_t count = r.GetVarint().value();
+    for (uint64_t i = 0; i < count; ++i) {
+      std::string id = r.GetLengthPrefixed().value();
+      std::string checksum = r.GetLengthPrefixed().value();
+      out.push_back({what + " frame " + id, std::move(checksum),
+                     r.GetLengthPrefixed().value()});
+    }
+  };
+  for (const std::string& id : hosted.ids) {
+    Result<HttpResponse> resp = GetAs(new_peer, hosted.base, "/bucket/" + id);
+    EXPECT_TRUE(resp.ok()) << resp.status().ToString();
+    if (!resp.ok()) continue;
+    std::optional<std::string_view> header =
+        resp->headers.Get(kMrsChecksumHeader);
+    if (StartsWith(resp->body, kBucketFramesFormat)) {
+      // A frame set carries no whole-body checksum.
+      EXPECT_FALSE(header.has_value()) << id;
+      add_frames(id, resp->body);
+      ++*run_backed;
+    } else {
+      EXPECT_TRUE(header.has_value()) << id;
+      if (header) out.push_back({id, std::string(*header), resp->body});
+    }
+  }
+  Result<HttpResponse> batch =
+      GetAs(new_peer, hosted.base, "/bucket?ids=" + Join(hosted.ids, ","));
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  if (batch.ok()) add_frames("batch", batch->body);
+  return out;
+}
+
+std::vector<KeyValue> RecordsOf(const std::string& body) {
+  Result<std::vector<KeyValue>> records = DecodeBucketBody(body);
+  EXPECT_TRUE(records.ok()) << records.status().ToString();
+  return records.ok() ? *records : std::vector<KeyValue>{};
+}
+
+TEST(MixedVersionDataPlane, OldPeerGetsOnlyFnv1aOnPlainRunBackedAndBatched) {
+  for (bool run_backed : {false, true}) {
+    SCOPED_TRACE(run_backed ? "run-backed" : "plain");
+    auto hosted = HostMapOutput(run_backed ? 1 : 0);
+    ASSERT_TRUE(hosted.ok()) << hosted.status().ToString();
+    int served_run_backed = 0;
+    std::vector<Guarded> served = ChecksumsServedTo(
+        /*new_peer=*/false, **hosted, &served_run_backed);
+    EXPECT_GT(served.size(), (*hosted)->ids.size());
+    EXPECT_EQ(served_run_backed > 0, run_backed);
+    for (const Guarded& g : served) {
+      EXPECT_EQ(g.checksum, Fnv1aChecksum(g.data)) << g.what;
+    }
+    (*hosted)->cluster->Shutdown();
+  }
+}
+
+TEST(MixedVersionDataPlane, NewPeerGetsOnlyXxh64AndTheSameRecords) {
+  for (bool run_backed : {false, true}) {
+    SCOPED_TRACE(run_backed ? "run-backed" : "plain");
+    auto hosted = HostMapOutput(run_backed ? 1 : 0);
+    ASSERT_TRUE(hosted.ok()) << hosted.status().ToString();
+    const HostedMapOutput& h = **hosted;
+    int served_run_backed = 0;
+    for (const Guarded& g :
+         ChecksumsServedTo(/*new_peer=*/true, h, &served_run_backed)) {
+      EXPECT_EQ(g.checksum, ContentChecksum(g.data)) << g.what;
+    }
+    EXPECT_EQ(served_run_backed > 0, run_backed);
+    // The client paths a current slave uses read the same records as a
+    // peer that predates XXH64 reads.
+    auto batch = FetchBucketBatch(h.base, h.ids);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), h.ids.size());
+    for (const std::string& id : h.ids) {
+      SCOPED_TRACE(id);
+      auto fetched = HttpFetch(h.base + "/bucket/" + id);
+      ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+      auto old_peer = GetAs(/*new_peer=*/false, h.base, "/bucket/" + id);
+      ASSERT_TRUE(old_peer.ok());
+      const std::vector<KeyValue> expected = RecordsOf(old_peer->body);
+      EXPECT_EQ(RecordsOf(*fetched), expected);
+      EXPECT_EQ(RecordsOf(batch->at(id)), expected);
+    }
+    (*hosted)->cluster->Shutdown();
+  }
+}
+
+TEST(MixedVersionDataPlane, CorruptRunStaysDataLossForAnOldPeer) {
+  // The slave flips one byte inside its first published run.  Re-hashing
+  // that run for an old peer must not launder the flip: the frame keeps
+  // its XXH64 value, which the old peer's FNV-1a check rejects.
+  auto hosted = HostMapOutput(/*budget=*/1, /*spill_corrupt=*/1);
+  ASSERT_TRUE(hosted.ok()) << hosted.status().ToString();
+  for (bool new_peer : {false, true}) {
+    SCOPED_TRACE(new_peer ? "new peer" : "old peer");
+    int rejected = 0;
+    int served_run_backed = 0;
+    for (const Guarded& g :
+         ChecksumsServedTo(new_peer, **hosted, &served_run_backed)) {
+      const bool passes = new_peer ? ChecksumMatches(g.data, g.checksum)
+                                   : g.checksum == Fnv1aChecksum(g.data);
+      if (!passes) {
+        ++rejected;
+        EXPECT_TRUE(StartsWith(g.checksum, "xxh64:")) << g.what;
+      }
+    }
+    // The run is served once on its own and once in the batch.
+    EXPECT_EQ(rejected, 2);
+  }
+  (*hosted)->cluster->Shutdown();
+}
+
+TEST(MixedVersionDataPlane, AnyFlipOrCutOfARunBackedBodyIsDataLoss) {
+  // With no whole-body checksum, the frame checksums and exact framing
+  // alone must catch every damaged byte.  A flip inside a frame id changes
+  // no record, so it may decode, but only to the same records.
+  auto hosted = HostMapOutput(/*budget=*/1);
+  ASSERT_TRUE(hosted.ok()) << hosted.status().ToString();
+  auto resp = GetAs(/*new_peer=*/true, (*hosted)->base,
+                    "/bucket/" + (*hosted)->ids.front());
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  (*hosted)->cluster->Shutdown();
+  const std::string& body = resp->body;
+  const std::vector<KeyValue> expected = RecordsOf(body);
+  ASSERT_FALSE(expected.empty());
+  int decoded_same = 0;
+  for (size_t at = 0; at < body.size(); ++at) {
+    std::string flipped = body;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x20);
+    Result<std::vector<KeyValue>> got = DecodeBucketBody(flipped);
+    if (got.ok()) {
+      EXPECT_EQ(*got, expected) << "flip at " << at;
+      ++decoded_same;
+    } else {
+      EXPECT_EQ(got.status().code(), StatusCode::kDataLoss) << "flip at " << at;
+    }
+    // An empty body reads as an empty text bucket; HTTP framing (a short
+    // body is "connection closed mid-response") covers that cut.
+    if (at == 0) continue;
+    EXPECT_EQ(DecodeBucketBody(body.substr(0, at)).status().code(),
+              StatusCode::kDataLoss)
+        << "cut at " << at;
+  }
+  // Only frame ids ("<dataset>/<source>/<split>#run<i>") may absorb a flip.
+  EXPECT_LT(decoded_same, static_cast<int>(body.size() / 4));
+}
+
+/// A data server as peers that predate XXH64 run it: bare-hex FNV-1a in
+/// X-Mrs-Checksum (on frame sets too) and in every frame.
+HttpResponse ServeAsOldPeer(const HttpRequest& req,
+                            const std::vector<KeyValue>& records) {
+  const std::string payload = EncodeBinaryRecords(records);
+  auto frame = [&payload](const std::string& id) {
+    return BucketFrame{id, Fnv1aChecksum(payload), payload};
+  };
+  auto [path, query] = SplitTarget(req.target);
+  if (path == "/bucket" && FormatAccepted(req.headers, kBucketFramesFormat)) {
+    EXPECT_EQ(query, "ids=1/0/0,1/0/1");
+    HttpResponse resp = HttpResponse::Ok(
+        EncodeBucketFrames({frame("1/0/0"), frame("1/0/1#run0"),
+                            frame("1/0/1#run1")}),
+        "application/octet-stream");
+    resp.headers.Set(std::string(kMrsFormatHeader),
+                     std::string(kBucketFramesFormat));
+    return resp;
+  }
+  std::string body;
+  if (path == "/bucket/1/0/0") {
+    body = payload;
+  } else if (path == "/bucket/1/0/1") {
+    body = EncodeBucketFrames({frame("1/0/1#run0"), frame("1/0/1#run1")});
+  } else {
+    return HttpResponse::NotFound();
+  }
+  HttpResponse resp = HttpResponse::Ok(body, "application/octet-stream");
+  resp.headers.Set(std::string(kMrsChecksumHeader), Fnv1aChecksum(body));
+  return resp;
+}
+
+TEST(MixedVersionDataPlane, NewClientReadsAnOldServer) {
+  const std::vector<KeyValue> records = {{Value("k1"), Value(int64_t{1})},
+                                         {Value("k2"), Value(2.5)}};
+  std::vector<KeyValue> twice = records;
+  twice.insert(twice.end(), records.begin(), records.end());
+  auto server = HttpServer::Start(
+      "127.0.0.1", 0,
+      [&records](const HttpRequest& req) {
+        return ServeAsOldPeer(req, records);
+      });
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const std::string base = "http://" + (*server)->addr().ToString();
+
+  // Plain and run-backed single-bucket GETs, through the bucket loader.
+  for (const auto& [id, expected] :
+       {std::pair{std::string("1/0/0"), records},
+        std::pair{std::string("1/0/1"), twice}}) {
+    Bucket bucket;
+    bucket.set_url(base + "/bucket/" + id);
+    Status loaded = bucket.EnsureLoaded(HttpFetch);
+    ASSERT_TRUE(loaded.ok()) << id << ": " << loaded.ToString();
+    EXPECT_EQ(bucket.records(), expected) << id;
+  }
+  // Batched, through the client a current slave uses.
+  auto batch = FetchBucketBatch(base, {"1/0/0", "1/0/1"});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), 2u);
+  EXPECT_EQ(RecordsOf(batch->at("1/0/0")), records);
+  EXPECT_EQ(RecordsOf(batch->at("1/0/1")), twice);
+  (*server)->Shutdown();
 }
 
 }  // namespace
