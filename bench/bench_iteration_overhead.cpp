@@ -72,7 +72,7 @@ double RunMasterSlave(int rounds, int num_slaves, bool affinity,
   ClusterLauncher::Config config;
   config.num_slaves = num_slaves;
   config.master.enable_affinity = affinity;
-  config.master.enable_speculation = speculation;
+  if (!speculation) config.master.speculation_quantile = 0;
   std::string shared_dir;
   if (shared_files) {
     auto dir = MakeTempDir("mrs_bench_iter_");

@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths: value
-// serialization, the record format, payload checksums, sort+group, XML-RPC
-// framing, Halton generation, and the MiniPy engines — the per-sample rates
-// behind Fig 3.
+// serialization, the record format, payload checksums, sort+group, the
+// map and reduce task bodies, XML-RPC framing, Halton generation, and the
+// MiniPy engines — the per-sample rates behind Fig 3.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -88,6 +88,60 @@ void BM_SortGroup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SortGroup)->Arg(1000)->Arg(100000);
+
+// The task funnel (core/task.h), unbudgeted: a word count over 200k
+// records with 20k distinct string keys, partitioned 4 ways.
+class FunnelCount : public MapReduce {
+ public:
+  void Map(const Value&, const Value& word, const Emitter& emit) override {
+    emit(word, Value(int64_t{1}));
+  }
+  void Reduce(const Value&, const ValueList& values,
+              const ValueEmitter& emit) override {
+    int64_t s = 0;
+    for (const Value& v : values) s += v.AsInt();
+    emit(Value(s));
+  }
+};
+
+/// Map input (index, word) or, with `word_keys`, reduce input (word, 1).
+std::vector<KeyValue> FunnelRecords(bool word_keys) {
+  std::vector<KeyValue> records;
+  records.reserve(200000);
+  MT19937_64 rng(13);
+  for (int64_t i = 0; i < 200000; ++i) {
+    Value word("word" + std::to_string(rng.NextBounded(20000)));
+    records.push_back(word_keys ? KeyValue{std::move(word), Value(int64_t{1})}
+                                : KeyValue{Value(i), std::move(word)});
+  }
+  return records;
+}
+
+void BM_RunMapTask(benchmark::State& state) {
+  FunnelCount program;
+  const std::vector<KeyValue> input = FunnelRecords(/*word_keys=*/false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RunMapTask(program, DataSetOptions(), 4, input));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(input.size()));
+}
+BENCHMARK(BM_RunMapTask)->Unit(benchmark::kMillisecond);
+
+void BM_RunReduceTask(benchmark::State& state) {
+  FunnelCount program;
+  const std::vector<KeyValue> input = FunnelRecords(/*word_keys=*/true);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<KeyValue> copy = input;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        RunReduceTask(program, DataSetOptions(), 4, std::move(copy)));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(input.size()));
+}
+BENCHMARK(BM_RunReduceTask)->Unit(benchmark::kMillisecond);
 
 void BM_XmlRpcCallRoundTrip(benchmark::State& state) {
   xmlrpc::MethodCall call;

@@ -76,10 +76,6 @@ Result<std::vector<KeyValue>> FetchUrlRecords(const std::string& url,
   }
   return decoded;
 }
-
-std::string RunFrameId(const TaskSpillContext& sc, int split) {
-  return sc.id_prefix + "/" + std::to_string(split);
-}
 }  // namespace
 
 Result<std::vector<KeyValue>> LoadTaskInput(
@@ -143,24 +139,206 @@ Result<std::vector<TaskInputPart>> BuildTaskInputParts(DataSet& input_ds,
   return parts;
 }
 
+namespace {
+
+/// The one writer of task output.  Each emitted pair goes to the bucket
+/// ResolvePartition names.  Under an enabled spill context the writer
+/// charges the budget every 32 records and, when the budget asks, appends
+/// every non-empty bucket to the attempt's spill file as one run: a sorted
+/// run for map output (combined first when the task has a combiner — the
+/// classic combine-before-spill policy, sound because a combiner must
+/// satisfy reduce∘partial-combine = reduce), a FIFO run for reduce output,
+/// which Job::Collect reads in emit order.  The charge is released once the
+/// records are on disk or handed to the caller (who re-charges what it
+/// keeps), and by the destructor on every other exit.
+class RowWriter {
+ public:
+  RowWriter(const MapReduce& program, int num_splits,
+            const TaskSpillContext* spill, const char* site, bool sorted_runs,
+            ReduceFn combiner = nullptr)
+      : program_(program),
+        num_splits_(num_splits),
+        spill_(spill != nullptr && spill->enabled() ? spill : nullptr),
+        site_(site),
+        sorted_runs_(sorted_runs),
+        combiner_(std::move(combiner)) {
+    row_.reserve(static_cast<size_t>(num_splits));
+    for (int p = 0; p < num_splits; ++p) row_.emplace_back(0, p);
+  }
+  ~RowWriter() { Release(); }
+  RowWriter(const RowWriter&) = delete;
+  RowWriter& operator=(const RowWriter&) = delete;
+
+  /// Ok until a spill fails; later emits are dropped.
+  const Status& status() const { return status_; }
+
+  void Emit(KeyValue kv) {
+    if (!status_.ok()) return;
+    int p = ResolvePartition(program_, kv.key, num_splits_, site_);
+    if (spill_ != nullptr) {
+      pending_ += static_cast<int64_t>(ApproxMemoryBytes(kv));
+    }
+    row_[static_cast<size_t>(p)].Append(std::move(kv));
+    if (spill_ != nullptr && ++since_check_ >= 32) ChargePending();
+  }
+
+  /// The finished row: a spilled bucket's tail joins its runs (the bucket
+  /// leaves the task runs-only), an in-memory bucket is combined and marked
+  /// loaded, and the attempt's spill file is fsynced once.
+  Result<std::vector<Bucket>> Finish() {
+    MRS_RETURN_IF_ERROR(status_);
+    Release();
+    for (Bucket& b : row_) {
+      if (b.spilled()) {
+        if (!b.records().empty()) MRS_RETURN_IF_ERROR(Spill(b));
+        continue;
+      }
+      MRS_RETURN_IF_ERROR(Combine(b));
+      b.MarkLoaded();
+    }
+    if (spill_ != nullptr) MRS_RETURN_IF_ERROR(spill_->file->Sync());
+    return std::move(row_);
+  }
+
+ private:
+  void ChargePending() {
+    since_check_ = 0;
+    spill_->budget->Charge(pending_);
+    charged_ += pending_;
+    pending_ = 0;
+    if (!spill_->budget->ShouldSpill()) return;
+    for (Bucket& b : row_) {
+      if (b.records().empty()) continue;
+      status_ = Spill(b);
+      if (!status_.ok()) return;
+    }
+    Release();
+  }
+
+  Status Combine(Bucket& b) {
+    if (!combiner_ || b.records().empty()) return Status::Ok();
+    MRS_ASSIGN_OR_RETURN(
+        *b.mutable_records(),
+        SortGroupApply(std::move(*b.mutable_records()), combiner_));
+    return Status::Ok();
+  }
+
+  Status Spill(Bucket& b) {
+    MRS_RETURN_IF_ERROR(Combine(b));
+    return b.SpillToRun(*spill_->file,
+                        spill_->id_prefix + "/" + std::to_string(b.split()),
+                        sorted_runs_);
+  }
+
+  void Release() {
+    if (charged_ > 0) spill_->budget->Release(charged_);
+    charged_ = 0;
+  }
+
+  const MapReduce& program_;
+  const int num_splits_;
+  const TaskSpillContext* const spill_;  // null unless spilling is enabled
+  const char* const site_;
+  const bool sorted_runs_;
+  const ReduceFn combiner_;
+  std::vector<Bucket> row_;
+  Status status_;
+  int64_t charged_ = 0;  // charged to the budget, not yet released
+  int64_t pending_ = 0;  // emitted since the last charge
+  size_t since_check_ = 0;
+};
+
+/// The one grouping loop.  `next()` reads a (key, value)-sorted stream: the
+/// next record, which the loop moves from, or null at the end.
+/// `apply(key, values)` runs once per run of equal keys.  Only one key's
+/// values are resident at a time.  Stops at the first error from either.
+template <class Next, class Apply>
+Status ForEachKeyGroup(Next&& next, Apply&& apply) {
+  ValueList values;
+  MRS_ASSIGN_OR_RETURN(KeyValue* kv, next());
+  while (kv != nullptr) {
+    Value key = std::move(kv->key);
+    values.clear();
+    values.push_back(std::move(kv->value));
+    while (true) {
+      MRS_ASSIGN_OR_RETURN(kv, next());
+      if (kv == nullptr || kv->key != key) break;
+      values.push_back(std::move(kv->value));
+    }
+    MRS_RETURN_IF_ERROR(apply(key, values));
+  }
+  return Status::Ok();
+}
+
+/// Sorted in-memory records as a stream for ForEachKeyGroup, read in place.
+auto SortedVectorStream(std::vector<KeyValue>& records) {
+  return [&records, i = size_t{0}]() mutable -> Result<KeyValue*> {
+    return i == records.size() ? nullptr : &records[i++];
+  };
+}
+
+/// Reduce a sorted stream: one reduce call per key, its output through a
+/// RowWriter (FIFO runs).
+template <class Next>
+Result<std::vector<Bucket>> ReduceSortedStream(MapReduce& program,
+                                               const DataSetOptions& options,
+                                               int num_splits,
+                                               const TaskSpillContext* spill,
+                                               const char* site, Next next) {
+  std::string op = options.op_name.empty() ? "reduce" : options.op_name;
+  MRS_ASSIGN_OR_RETURN(ReduceFn fn, program.FindReduce(op));
+  BroadcastScope broadcast_scope(options.broadcast.get());
+  RowWriter out(program, num_splits, spill, site, /*sorted_runs=*/false);
+  MRS_RETURN_IF_ERROR(
+      ForEachKeyGroup(next, [&](const Value& key, const ValueList& values) {
+        fn(key, values,
+           [&](Value v) { out.Emit(KeyValue{key, std::move(v)}); });
+        return out.status();
+      }));
+  return out.Finish();
+}
+
+/// One sorted MergeSource per input bucket, in column order: a bucket of
+/// sorted runs streams them from disk; any other bucket (in memory, or
+/// FIFO runs, never reduce input in practice) gives up its records,
+/// sorted.
+Result<std::vector<std::unique_ptr<MergeSource>>> ColumnMergeSources(
+    std::vector<Bucket>& column, const UrlFetcher& fetch) {
+  std::vector<std::unique_ptr<MergeSource>> sources;
+  for (Bucket& b : column) {
+    bool all_sorted = b.spilled();
+    for (const SpillRun& run : b.spill_runs()) all_sorted &= run.sorted;
+    if (all_sorted) {
+      // Stream each sorted run straight from disk.  Runs join in write
+      // order; equal records are byte-identical (multiset semantics), so
+      // source order only matters for determinism, which index tie-break
+      // in the merger provides.
+      for (const SpillRun& run : b.spill_runs()) {
+        sources.push_back(std::make_unique<SpillRunSource>(run));
+      }
+      continue;
+    }
+    MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
+    std::vector<KeyValue> recs = std::move(*b.mutable_records());
+    std::stable_sort(recs.begin(), recs.end(), KeyValueLess);
+    sources.push_back(std::make_unique<VectorSource>(std::move(recs)));
+  }
+  return sources;
+}
+
+}  // namespace
+
 Result<std::vector<KeyValue>> SortGroupApply(std::vector<KeyValue> records,
                                              const ReduceFn& fn) {
   std::stable_sort(records.begin(), records.end(), KeyValueLess);
   std::vector<KeyValue> out;
-  size_t i = 0;
-  while (i < records.size()) {
-    size_t j = i;
-    ValueList values;
-    while (j < records.size() && records[j].key == records[i].key) {
-      values.push_back(records[j].value);
-      ++j;
-    }
-    const Value& key = records[i].key;
-    fn(key, values, [&](Value v) {
-      out.push_back(KeyValue{key, std::move(v)});
-    });
-    i = j;
-  }
+  MRS_RETURN_IF_ERROR(ForEachKeyGroup(
+      SortedVectorStream(records),
+      [&](const Value& key, const ValueList& values) {
+        fn(key, values,
+           [&](Value v) { out.push_back(KeyValue{key, std::move(v)}); });
+        return Status::Ok();
+      }));
   return out;
 }
 
@@ -185,163 +363,16 @@ Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
   if (options.use_combiner) {
     MRS_ASSIGN_OR_RETURN(combiner, FindCombiner(program, options));
   }
-
-  const bool spilling = spill != nullptr && spill->enabled();
-  std::vector<Bucket> row;
-  row.reserve(num_splits);
-  for (int p = 0; p < num_splits; ++p) row.emplace_back(0, p);
-
-  // Budget accounting: emitted bytes are charged in batches of 32 records
-  // (bounded overshoot), and the whole charge is released once the records
-  // are on disk or handed to the caller (who re-charges what it keeps).
-  int64_t charged = 0;
-  int64_t pending = 0;
-  size_t since_check = 0;
-  Status spill_status;
-
-  // Flush every non-empty partition as one sorted run (combine first when
-  // configured: the classic combine-before-spill policy, sound because a
-  // combiner must satisfy reduce∘partial-combine = reduce).
-  auto flush_all = [&]() -> Status {
-    for (int p = 0; p < num_splits; ++p) {
-      Bucket& b = row[static_cast<size_t>(p)];
-      if (b.records().empty()) continue;
-      if (options.use_combiner) {
-        MRS_ASSIGN_OR_RETURN(
-            *b.mutable_records(),
-            SortGroupApply(std::move(*b.mutable_records()), combiner));
-      }
-      MRS_RETURN_IF_ERROR(
-          b.SpillToRun(*spill->file, RunFrameId(*spill, p), /*sorted=*/true));
-    }
-    spill->budget->Release(charged);
-    charged = 0;
-    pending = 0;
-    return Status::Ok();
-  };
-
-  Emitter emit = [&](Value k, Value v) {
-    if (!spill_status.ok()) return;
-    int p = ResolvePartition(program, k, num_splits, "RunMapTask");
-    KeyValue kv{std::move(k), std::move(v)};
-    if (spilling) pending += static_cast<int64_t>(ApproxMemoryBytes(kv));
-    row[static_cast<size_t>(p)].Append(std::move(kv));
-    if (spilling && ++since_check >= 32) {
-      since_check = 0;
-      spill->budget->Charge(pending);
-      charged += pending;
-      pending = 0;
-      if (spill->budget->ShouldSpill()) spill_status = flush_all();
-    }
+  RowWriter out(program, num_splits, spill, "RunMapTask",
+                /*sorted_runs=*/true, std::move(combiner));
+  Emitter emit = [&out](Value k, Value v) {
+    out.Emit(KeyValue{std::move(k), std::move(v)});
   };
   for (const KeyValue& kv : input) {
     fn(kv.key, kv.value, emit);
-    if (!spill_status.ok()) break;
+    if (!out.status().ok()) break;
   }
-  if (spilling && charged > 0) {
-    spill->budget->Release(charged);
-    charged = 0;
-  }
-  MRS_RETURN_IF_ERROR(spill_status);
-
-  for (int p = 0; p < num_splits; ++p) {
-    Bucket& b = row[static_cast<size_t>(p)];
-    if (options.use_combiner && !b.records().empty()) {
-      MRS_ASSIGN_OR_RETURN(
-          *b.mutable_records(),
-          SortGroupApply(std::move(*b.mutable_records()), combiner));
-    }
-    if (b.spilled() && !b.records().empty()) {
-      // Tail flush: a spilled bucket leaves the task runs-only.
-      MRS_RETURN_IF_ERROR(
-          b.SpillToRun(*spill->file, RunFrameId(*spill, p), /*sorted=*/true));
-    }
-    if (!b.spilled()) b.MarkLoaded();
-  }
-  if (spilling) MRS_RETURN_IF_ERROR(spill->file->Sync());
-  return row;
-}
-
-Result<std::vector<Bucket>> ReduceMergedSources(
-    MapReduce& program, const DataSetOptions& options, int num_splits,
-    std::vector<std::unique_ptr<MergeSource>> sources,
-    const TaskSpillContext* spill) {
-  std::string op = options.op_name.empty() ? "reduce" : options.op_name;
-  MRS_ASSIGN_OR_RETURN(ReduceFn fn, program.FindReduce(op));
-  BroadcastScope broadcast_scope(options.broadcast.get());
-
-  const bool spilling = spill != nullptr && spill->enabled();
-  std::vector<Bucket> row;
-  row.reserve(num_splits);
-  for (int p = 0; p < num_splits; ++p) row.emplace_back(0, p);
-
-  int64_t charged = 0;
-  int64_t pending = 0;
-  size_t since_check = 0;
-  Status spill_status;
-
-  // Output spills preserve emit order (FIFO runs): Job::Collect reads
-  // final buckets in raw emit order, which spilling must not disturb.
-  auto flush_all = [&]() -> Status {
-    for (int p = 0; p < num_splits; ++p) {
-      Bucket& b = row[static_cast<size_t>(p)];
-      if (b.records().empty()) continue;
-      MRS_RETURN_IF_ERROR(
-          b.SpillToRun(*spill->file, RunFrameId(*spill, p), /*sorted=*/false));
-    }
-    spill->budget->Release(charged);
-    charged = 0;
-    pending = 0;
-    return Status::Ok();
-  };
-
-  auto partition_emit = [&](const Value& key, Value v) {
-    if (!spill_status.ok()) return;
-    int p = ResolvePartition(program, key, num_splits, "ReduceMergedSources");
-    KeyValue kv{key, std::move(v)};
-    if (spilling) pending += static_cast<int64_t>(ApproxMemoryBytes(kv));
-    row[static_cast<size_t>(p)].Append(std::move(kv));
-    if (spilling && ++since_check >= 32) {
-      since_check = 0;
-      spill->budget->Charge(pending);
-      charged += pending;
-      pending = 0;
-      if (spill->budget->ShouldSpill()) spill_status = flush_all();
-    }
-  };
-
-  // Stream sorted records, grouping runs of equal keys.  Only one key's
-  // values are ever resident, never the whole input.
-  LoserTreeMerger merger(std::move(sources));
-  KeyValue kv;
-  MRS_ASSIGN_OR_RETURN(bool have, merger.Next(&kv));
-  while (have) {
-    Value key = kv.key;
-    ValueList values;
-    values.push_back(std::move(kv.value));
-    while (true) {
-      MRS_ASSIGN_OR_RETURN(have, merger.Next(&kv));
-      if (!have || kv.key != key) break;
-      values.push_back(std::move(kv.value));
-    }
-    fn(key, values, [&](Value v) { partition_emit(key, std::move(v)); });
-    MRS_RETURN_IF_ERROR(spill_status);
-  }
-  if (spilling && charged > 0) {
-    spill->budget->Release(charged);
-    charged = 0;
-  }
-
-  for (int p = 0; p < num_splits; ++p) {
-    Bucket& b = row[static_cast<size_t>(p)];
-    if (b.spilled() && !b.records().empty()) {
-      MRS_RETURN_IF_ERROR(
-          b.SpillToRun(*spill->file, RunFrameId(*spill, p), /*sorted=*/false));
-    }
-    if (!b.spilled()) b.MarkLoaded();
-  }
-  if (spilling) MRS_RETURN_IF_ERROR(spill->file->Sync());
-  return row;
+  return out.Finish();
 }
 
 Result<std::vector<Bucket>> RunReduceTask(MapReduce& program,
@@ -349,97 +380,46 @@ Result<std::vector<Bucket>> RunReduceTask(MapReduce& program,
                                           int num_splits,
                                           std::vector<KeyValue> input,
                                           const TaskSpillContext* spill) {
-  if (spill != nullptr && spill->enabled()) {
-    std::stable_sort(input.begin(), input.end(), KeyValueLess);
-    std::vector<std::unique_ptr<MergeSource>> sources;
-    sources.push_back(std::make_unique<VectorSource>(std::move(input)));
-    return ReduceMergedSources(program, options, num_splits,
-                               std::move(sources), spill);
-  }
-  std::string op = options.op_name.empty() ? "reduce" : options.op_name;
-  MRS_ASSIGN_OR_RETURN(ReduceFn fn, program.FindReduce(op));
-  BroadcastScope broadcast_scope(options.broadcast.get());
-  MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> reduced,
-                       SortGroupApply(std::move(input), fn));
-
-  std::vector<Bucket> row;
-  row.reserve(num_splits);
-  for (int p = 0; p < num_splits; ++p) row.emplace_back(0, p);
-  for (KeyValue& kv : reduced) {
-    int p = ResolvePartition(program, kv.key, num_splits, "RunReduceTask");
-    row[static_cast<size_t>(p)].Append(std::move(kv));
-  }
-  for (Bucket& b : row) b.MarkLoaded();
-  return row;
+  std::stable_sort(input.begin(), input.end(), KeyValueLess);
+  return ReduceSortedStream(program, options, num_splits, spill,
+                            "RunReduceTask", SortedVectorStream(input));
 }
 
-Result<std::vector<Bucket>> RunTask(MapReduce& program, DataSetKind kind,
-                                    const DataSetOptions& options,
-                                    int num_splits, std::vector<KeyValue> input,
-                                    const TaskSpillContext* spill) {
-  switch (kind) {
-    case DataSetKind::kMap:
-      return RunMapTask(program, options, num_splits, input, spill);
-    case DataSetKind::kReduce:
-      return RunReduceTask(program, options, num_splits, std::move(input),
-                           spill);
-    case DataSetKind::kLocal:
-    case DataSetKind::kFile:
-      return InvalidArgumentError("source datasets have no tasks to run");
-  }
-  return InternalError("unknown dataset kind");
-}
-
-Result<std::vector<std::unique_ptr<MergeSource>>> BuildColumnMergeSources(
-    const std::vector<Bucket*>& column, const UrlFetcher& fetch) {
-  std::vector<std::unique_ptr<MergeSource>> sources;
-  for (Bucket* b : column) {
-    bool all_sorted = b->spilled();
-    for (const SpillRun& run : b->spill_runs()) all_sorted &= run.sorted;
-    if (all_sorted) {
-      // Stream each sorted run straight from disk.  Runs join in write
-      // order; equal records are byte-identical (multiset semantics), so
-      // source order only matters for determinism, which index tie-break
-      // in the merger provides.
-      for (const SpillRun& run : b->spill_runs()) {
-        sources.push_back(std::make_unique<SpillRunSource>(run));
-      }
-      continue;
-    }
-    MRS_RETURN_IF_ERROR(b->EnsureLoaded(fetch));
-    std::vector<KeyValue> recs = b->records();
-    std::stable_sort(recs.begin(), recs.end(), KeyValueLess);
-    sources.push_back(std::make_unique<VectorSource>(std::move(recs)));
-    if (b->spilled()) b->Evict();  // return FIFO-run buckets to disk-backed
-  }
-  return sources;
+Result<std::vector<Bucket>> ReduceMergedSources(
+    MapReduce& program, const DataSetOptions& options, int num_splits,
+    std::vector<std::unique_ptr<MergeSource>> sources,
+    const TaskSpillContext* spill) {
+  LoserTreeMerger merger(std::move(sources));
+  KeyValue kv;
+  return ReduceSortedStream(
+      program, options, num_splits, spill, "ReduceMergedSources",
+      [&]() -> Result<KeyValue*> {
+        MRS_ASSIGN_OR_RETURN(bool have, merger.Next(&kv));
+        return have ? &kv : nullptr;
+      });
 }
 
 Result<std::vector<Bucket>> RunTaskOnDataSet(MapReduce& program, DataSet& ds,
                                              int split, const UrlFetcher& fetch,
                                              const TaskSpillContext* spill) {
   DataSet& in = *ds.input();
-  if (ds.kind() == DataSetKind::kReduce && in.kind() != DataSetKind::kFile) {
-    bool any_spilled = false;
-    for (int s = 0; s < in.num_sources(); ++s) {
-      any_spilled |= in.bucket(s, split).spilled();
+  std::vector<Bucket> column;
+  if (in.kind() == DataSetKind::kFile) {
+    // A file split is a one-bucket column of (line number, line) records.
+    column.emplace_back();
+    MRS_ASSIGN_OR_RETURN(*column[0].mutable_records(),
+                         GatherInputRecords(in, split, fetch));
+    column[0].MarkLoaded();
+  } else {
+    if (split < 0 || split >= in.num_splits()) {
+      return OutOfRangeError("input split out of range");
     }
-    if (any_spilled || (spill != nullptr && spill->enabled())) {
-      std::vector<Bucket*> column;
-      column.reserve(static_cast<size_t>(in.num_sources()));
-      for (int s = 0; s < in.num_sources(); ++s) {
-        column.push_back(&in.bucket(s, split));
-      }
-      MRS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<MergeSource>> sources,
-                           BuildColumnMergeSources(column, fetch));
-      return ReduceMergedSources(program, ds.options(), ds.num_splits(),
-                                 std::move(sources), spill);
+    for (int s = 0; s < in.num_sources(); ++s) {
+      column.push_back(in.bucket(s, split));
     }
   }
-  MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> input,
-                       GatherInputRecords(in, split, fetch));
-  return RunTask(program, ds.kind(), ds.options(), ds.num_splits(),
-                 std::move(input), spill);
+  return RunTaskOnBuckets(program, ds.kind(), ds.options(), ds.num_splits(),
+                          std::move(column), fetch, spill);
 }
 
 Result<std::vector<Bucket>> RunTaskOnBuckets(MapReduce& program,
@@ -449,15 +429,16 @@ Result<std::vector<Bucket>> RunTaskOnBuckets(MapReduce& program,
                                              std::vector<Bucket> column,
                                              const UrlFetcher& fetch,
                                              const TaskSpillContext* spill) {
+  if (kind != DataSetKind::kMap && kind != DataSetKind::kReduce) {
+    return InvalidArgumentError("source datasets have no tasks to run");
+  }
+  // The only place that chooses how a reduce reads its column.
   if (kind == DataSetKind::kReduce) {
-    bool any_spilled = false;
-    for (const Bucket& b : column) any_spilled |= b.spilled();
-    if (any_spilled || (spill != nullptr && spill->enabled())) {
-      std::vector<Bucket*> ptrs;
-      ptrs.reserve(column.size());
-      for (Bucket& b : column) ptrs.push_back(&b);
+    bool merge = spill != nullptr && spill->enabled();
+    for (const Bucket& b : column) merge |= b.spilled();
+    if (merge) {
       MRS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<MergeSource>> sources,
-                           BuildColumnMergeSources(ptrs, fetch));
+                           ColumnMergeSources(column, fetch));
       return ReduceMergedSources(program, options, num_splits,
                                  std::move(sources), spill);
     }
@@ -465,9 +446,18 @@ Result<std::vector<Bucket>> RunTaskOnBuckets(MapReduce& program,
   std::vector<KeyValue> input;
   for (Bucket& b : column) {
     MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
-    input.insert(input.end(), b.records().begin(), b.records().end());
+    std::vector<KeyValue> recs = std::move(*b.mutable_records());
+    if (input.empty()) {
+      input = std::move(recs);
+    } else {
+      input.insert(input.end(), std::make_move_iterator(recs.begin()),
+                   std::make_move_iterator(recs.end()));
+    }
   }
-  return RunTask(program, kind, options, num_splits, std::move(input), spill);
+  if (kind == DataSetKind::kMap) {
+    return RunMapTask(program, options, num_splits, input, spill);
+  }
+  return RunReduceTask(program, options, num_splits, std::move(input), spill);
 }
 
 }  // namespace mrs

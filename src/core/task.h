@@ -2,12 +2,17 @@
 // bucket grid.
 //
 // Every implementation — serial, mock parallel, thread, master/slave —
-// funnels through RunMapTask / RunReduceTask, which is how Mrs guarantees
-// that all implementations "produce identical answers" (paper §IV-A): only
-// the scheduling and data movement differ, never the computation.  Each
-// task funnel also takes its spill context from NewTaskSpillContext and
-// guards user code with CatchUserExceptions, so budgets and failures
-// behave the same on every runner.
+// funnels through RunTaskOnBuckets (directly, or via RunTaskOnDataSet),
+// which is how Mrs guarantees that all implementations "produce identical
+// answers" (paper §IV-A): only the scheduling and data movement differ,
+// never the computation.  It is the one column-to-row body, the only code
+// that chooses whether a reduce merges its input column or sorts it in
+// memory.  Below it, every map and reduce writes its output through one
+// row writer (partition, budget charge, spill, tail flush, one fsync) and
+// every reduce groups its sorted input with one loop.  Each runner takes
+// its spill context from NewTaskSpillContext and guards user code with
+// CatchUserExceptions, so budgets and failures behave the same on every
+// runner.
 #pragma once
 
 #include <exception>
@@ -102,9 +107,9 @@ Result<std::vector<KeyValue>> LoadTaskInput(
     const std::vector<TaskInputPart>& parts, const UrlFetcher& fetch);
 
 /// Gather the input records for task `split` reading from dataset
-/// `input_ds` (in-memory/local path used by the serial and mock-parallel
-/// runners).  For file datasets this reads the split's file; otherwise it
-/// loads column `split` of the grid.
+/// `input_ds` (a file split for RunTaskOnDataSet, a morsel source for the
+/// thread runner).  For file datasets this reads the split's file;
+/// otherwise it loads column `split` of the grid.
 Result<std::vector<KeyValue>> GatherInputRecords(DataSet& input_ds, int split,
                                                  const UrlFetcher& fetch);
 
@@ -117,58 +122,49 @@ Result<std::vector<TaskInputPart>> BuildTaskInputParts(DataSet& input_ds,
 /// Run one map task: calls the named map function on every input record,
 /// partitions emitted pairs into `num_splits` buckets, and optionally
 /// applies the combiner per bucket.  Returns the completed bucket row.
-/// With an enabled spill context, partitions that grow past the memory
-/// budget are appended to the attempt's spill file as sorted runs
+/// With an enabled spill context, the buckets are appended to the
+/// attempt's spill file as sorted runs whenever the memory budget asks
 /// (combined first when a combiner is configured — the classic
-/// combine-before-spill policy), the returned buckets carry runs instead
-/// of records, and the file is fsynced once before the row is returned.
+/// combine-before-spill policy), a spilled bucket is returned as runs
+/// only, and the file is fsynced once before the row is returned.
 Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
                                        const DataSetOptions& options,
                                        int num_splits,
                                        const std::vector<KeyValue>& input,
                                        const TaskSpillContext* spill = nullptr);
 
-/// Run one reduce task: sorts input by key (ties by value), groups, calls
-/// the named reduce function per key, and partitions emitted values by key
-/// into `num_splits` buckets.
+/// Run one reduce task in memory: sorts input by key (ties by value),
+/// calls the named reduce function once per key, and partitions emitted
+/// values by key into `num_splits` buckets.  With an enabled spill
+/// context, the output spills as FIFO runs, as in ReduceMergedSources.
 Result<std::vector<Bucket>> RunReduceTask(
     MapReduce& program, const DataSetOptions& options, int num_splits,
     std::vector<KeyValue> input, const TaskSpillContext* spill = nullptr);
 
-/// The out-of-core reduce: consumes a (key, value)-sorted merged stream —
-/// never materializing the full input — groups consecutive equal keys,
-/// applies the reduce function, and partitions output into buckets,
-/// spilling them as FIFO runs under budget pressure and fsyncing the
-/// attempt's spill file once before the row is returned.  Produces exactly
-/// the rows RunReduceTask would for the same input multiset.
+/// The out-of-core reduce: the same grouping and output as RunReduceTask,
+/// read from a k-way merge of (key, value)-sorted sources, so the full
+/// input is never materialized.  Produces exactly the rows RunReduceTask
+/// would for the same input multiset.
 Result<std::vector<Bucket>> ReduceMergedSources(
     MapReduce& program, const DataSetOptions& options, int num_splits,
     std::vector<std::unique_ptr<MergeSource>> sources,
     const TaskSpillContext* spill);
 
-/// Build one sorted MergeSource per input bucket (in the order given):
-/// spilled buckets stream their sorted runs from disk; in-memory buckets
-/// contribute a sorted copy.  FIFO runs (never reduce input in practice)
-/// are materialized and sorted.
-Result<std::vector<std::unique_ptr<MergeSource>>> BuildColumnMergeSources(
-    const std::vector<Bucket*>& column, const UrlFetcher& fetch);
-
-/// Dispatch on dataset kind (kMap/kReduce).
-Result<std::vector<Bucket>> RunTask(MapReduce& program, DataSetKind kind,
-                                    const DataSetOptions& options,
-                                    int num_splits, std::vector<KeyValue> input,
-                                    const TaskSpillContext* spill = nullptr);
-
 /// Run task `split` against its input dataset — the local runners' whole
-/// task body.  Reduce tasks whose input column spilled (or that may spill
-/// themselves) take the streamed path: per-bucket merge sources feed
-/// ReduceMergedSources and the full input is never materialized.
+/// task body: RunTaskOnBuckets over a copy of column `split` (the dataset
+/// keeps its buckets), or over the split's lines for a file dataset.
 Result<std::vector<Bucket>> RunTaskOnDataSet(MapReduce& program, DataSet& ds,
                                              int split, const UrlFetcher& fetch,
                                              const TaskSpillContext* spill);
 
-/// Same, for a column of buckets already gathered (thread runner's shuffle
-/// board, slave-fetched parts staged as buckets).
+/// The one column-to-row body: runs a `kind` task over the input column
+/// it owns (the thread runner's shuffle board, a slave's fetched input),
+/// moving the buckets' records into the task.  It is the only code that
+/// chooses how a reduce reads its column: when any bucket spilled or the
+/// task may spill itself, ReduceMergedSources streams the merge of the
+/// column's sorted runs and sorted in-memory buckets, and the full input
+/// is never materialized; otherwise RunReduceTask sorts the concatenated
+/// column in memory.  A map task reads the column concatenated in order.
 Result<std::vector<Bucket>> RunTaskOnBuckets(MapReduce& program,
                                              DataSetKind kind,
                                              const DataSetOptions& options,
@@ -177,8 +173,8 @@ Result<std::vector<Bucket>> RunTaskOnBuckets(MapReduce& program,
                                              const UrlFetcher& fetch,
                                              const TaskSpillContext* spill);
 
-/// Sort records and collapse runs of equal keys via `fn` (shared by the
-/// reduce path and the map-side combiner).
+/// Sort records and collapse runs of equal keys via `fn`, collecting what
+/// it emits (the map-side combiners).  Groups with the reduce tasks' loop.
 Result<std::vector<KeyValue>> SortGroupApply(std::vector<KeyValue> records,
                                              const ReduceFn& fn);
 

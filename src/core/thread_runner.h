@@ -5,17 +5,17 @@
 // work-stealing pool of N threads.  Determinism (paper §IV-A: all
 // implementations "produce identical answers") is preserved structurally:
 //
-//  * the computation itself is the shared RunTask path, and the
-//    `random(...)` streams depend only on argument tuples, never on
+//  * the computation itself is the shared task funnel (core/task.h), and
+//    the `random(...)` streams depend only on argument tuples, never on
 //    scheduling;
 //  * shuffle output destined for a *map* stage is deposited into
 //    per-split buckets under striped locks and merged in *source-index
 //    order* before the downstream task reads it, so an order-sensitive
 //    map sees its input exactly as the serial runner would produce it;
 //  * shuffle output destined for a *reduce* stage only needs the right
-//    input multiset (RunReduceTask sorts by (key, value) before
-//    grouping), which is what licenses the two scaling optimizations
-//    below;
+//    input multiset (a reduce groups its column (key, value)-sorted,
+//    whether it sorts it in memory or merges sorted runs), which is what
+//    licenses the two scaling optimizations below;
 //  * a dataset's bucket grid is only written via DataSet::SetRow (one row
 //    per task, internally locked).
 //

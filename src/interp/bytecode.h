@@ -2,8 +2,9 @@
 //
 // The VM is the repo's "PyPy" stand-in: same language, same semantics, but
 // compiled name resolution (slot-indexed locals and globals), switch
-// dispatch, and inline int/float fast paths — the properties that make a
-// tracing JIT fast on numeric loops, minus the actual JIT.
+// dispatch, and an unboxed typed tier for provably numeric functions — the
+// properties that make a tracing JIT fast on numeric loops, minus the
+// actual JIT.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +74,8 @@ struct CompiledModule {
   /// well-formed (operands in bounds, jump targets valid, stack depths
   /// consistent).  The VM's dispatch loop carries no per-instruction
   /// bounds checks, so Vm::LoadModule refuses modules that do not pass
-  /// verification — the verified bit is what gates the unboxed numeric
-  /// fast path on trusted frames only.
+  /// verification — the verified bit is what keeps the unchecked
+  /// dispatch loop on trusted frames only.
   bool verified = false;
   /// Optional per-function type facts (interp/typefacts.h), produced by
   /// analysis/typeinfer.h and *re-checked* by CheckTypeFacts before the VM

@@ -70,6 +70,11 @@ Status TypeError(std::string_view what, const PyValue& a, const PyValue& b) {
 }
 
 int CompareNumeric(const PyValue& a, const PyValue& b) {
+  if (a.is_int() && b.is_int()) {  // exact beyond 2^53, as the typed tier
+    int64_t x = a.AsInt();
+    int64_t y = b.AsInt();
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
   double x = a.AsFloat();
   double y = b.AsFloat();
   if (x < y) return -1;

@@ -88,14 +88,19 @@ Result<PyValue> CallBuiltin(const std::string& name,
                             std::vector<PyValue>& args);
 bool IsBuiltin(const std::string& name);
 
-// Exact integer semantics shared between ApplyBinary and the VM's inline
-// fast paths (Python floor division / sign-of-divisor modulo).
+// Exact integer semantics shared by ApplyBinary and the typed tier, the
+// only places any engine divides ints (Python floor division and
+// sign-of-divisor modulo; callers reject b == 0).  INT64_MIN // -1, the
+// one quotient that overflows, wraps as in two's complement (INT64_MIN,
+// remainder 0) instead of trapping.
 inline int64_t PyFloorDivInt(int64_t a, int64_t b) {
+  if (b == -1) return static_cast<int64_t>(0 - static_cast<uint64_t>(a));
   int64_t q = a / b;
   if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
   return q;
 }
 inline int64_t PyModInt(int64_t a, int64_t b) {
+  if (b == -1) return 0;
   int64_t m = a % b;
   if (m != 0 && ((m < 0) != (b < 0))) m += b;
   return m;

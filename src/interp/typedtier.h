@@ -71,8 +71,8 @@ enum class TOp : uint8_t {
 
   // Compares: a.i = bool(b CMP c) with cmp in TInstr::cmp.  The int form
   // requires both operands proven int (or both bool); every mixed or
-  // float comparison goes through doubles, matching the generic VM's
-  // fast-path/ApplyBinary split exactly.
+  // float comparison goes through doubles, matching ApplyBinary's
+  // int/float split exactly.
   kCmpI, kCmpF,
   kCmpIC, kCmpFC,  // right operand in imm
 

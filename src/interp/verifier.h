@@ -1,8 +1,8 @@
 // MiniPy bytecode verifier.
 //
 // The VM's dispatch loop (vm.cpp) indexes constants, locals, globals and
-// the operand stack without bounds checks — that is what keeps the unboxed
-// numeric fast path fast.  The verifier makes that safe: an abstract
+// the operand stack without bounds checks — that is what keeps the
+// dispatch loop fast.  The verifier makes that safe: an abstract
 // interpretation over each function proves, before any instruction runs,
 // that every operand index is in bounds, every jump lands inside the
 // function, the operand stack never underflows, and every control-flow

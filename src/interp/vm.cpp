@@ -509,59 +509,7 @@ Result<PyValue> Vm::RunFunction(const CompiledFunction& fn,
         PyValue b = std::move(stack.back());
         stack.pop_back();
         PyValue& a = stack.back();
-        BinOp op = static_cast<BinOp>(ins.a);
-        // Inline fast paths for the numeric loop cases (int op int,
-        // float-ish op float-ish); everything else takes the generic
-        // ApplyBinary road.  Semantics must match ApplyBinary exactly.
-        if (a.is_int() && b.is_int()) {
-          int64_t x = a.AsInt();
-          int64_t y = b.AsInt();
-          switch (op) {
-            case BinOp::kAdd: a = PyValue(x + y); continue;
-            case BinOp::kSub: a = PyValue(x - y); continue;
-            case BinOp::kMul: a = PyValue(x * y); continue;
-            case BinOp::kFloorDiv:
-              if (y == 0) return runtime_error("division by zero");
-              a = PyValue(PyFloorDivInt(x, y));
-              continue;
-            case BinOp::kMod:
-              if (y == 0) return runtime_error("modulo by zero");
-              a = PyValue(PyModInt(x, y));
-              continue;
-            case BinOp::kDiv:
-              if (y == 0) return runtime_error("division by zero");
-              a = PyValue(static_cast<double>(x) / static_cast<double>(y));
-              continue;
-            case BinOp::kLt: a = PyValue::Bool(x < y); continue;
-            case BinOp::kLe: a = PyValue::Bool(x <= y); continue;
-            case BinOp::kGt: a = PyValue::Bool(x > y); continue;
-            case BinOp::kGe: a = PyValue::Bool(x >= y); continue;
-            case BinOp::kEq: a = PyValue::Bool(x == y); continue;
-            case BinOp::kNe: a = PyValue::Bool(x != y); continue;
-            default: break;
-          }
-        } else if (a.is_numeric() && b.is_numeric() &&
-                   (a.is_float() || b.is_float())) {
-          double x = a.AsFloat();
-          double y = b.AsFloat();
-          switch (op) {
-            case BinOp::kAdd: a = PyValue(x + y); continue;
-            case BinOp::kSub: a = PyValue(x - y); continue;
-            case BinOp::kMul: a = PyValue(x * y); continue;
-            case BinOp::kDiv:
-              if (y == 0.0) return runtime_error("division by zero");
-              a = PyValue(x / y);
-              continue;
-            case BinOp::kLt: a = PyValue::Bool(x < y); continue;
-            case BinOp::kLe: a = PyValue::Bool(x <= y); continue;
-            case BinOp::kGt: a = PyValue::Bool(x > y); continue;
-            case BinOp::kGe: a = PyValue::Bool(x >= y); continue;
-            case BinOp::kEq: a = PyValue::Bool(x == y); continue;
-            case BinOp::kNe: a = PyValue::Bool(x != y); continue;
-            default: break;
-          }
-        }
-        Result<PyValue> out = ApplyBinary(op, a, b);
+        Result<PyValue> out = ApplyBinary(static_cast<BinOp>(ins.a), a, b);
         if (!out.ok()) return runtime_error(out.status().message());
         a = std::move(out).value();
         break;

@@ -4,7 +4,7 @@
 // LoadModule runs the bytecode verifier (interp/verifier.h) on any module
 // not already stamped `verified` and refuses malformed frames outright.
 // Only verified modules ever reach RunFunction, which is what keeps the
-// unboxed numeric fast path both fast and safe.
+// unchecked dispatch loop both fast and safe.
 //
 // On top of the generic loop sits the typed tier: when a loaded module
 // carries a TypeFactTable (produced by analysis/typeinfer, re-checked

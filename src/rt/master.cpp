@@ -17,6 +17,12 @@ namespace mrs {
 namespace {
 double NowSeconds() { return RealClock::Instance().Now(); }
 
+/// How long get_task waits for work before answering "wait".
+constexpr double kLongPollSeconds = 0.25;
+/// A running task is a straggler once it exceeds this multiple of its
+/// operation's speculation_quantile runtime (Master::Config).
+constexpr double kSpeculationMultiplier = 2.0;
+
 /// Process-wide mirrors of the scheduler counters, so a live master's
 /// activity is visible at /metrics without calling stats().
 struct MasterCounters {
@@ -310,10 +316,9 @@ std::string Master::StatusJson() const {
   out += ",\"missed_ping_limit\":" + std::to_string(config_.missed_ping_limit);
   out += ",\"drain_timeout\":" + std::to_string(config_.drain_timeout);
   out += ",\"speculation_quantile\":" +
-         std::to_string(config_.enable_speculation ? config_.speculation_quantile
-                                                   : 0.0);
+         std::to_string(std::max(config_.speculation_quantile, 0.0));
   out += ",\"speculation_multiplier\":" +
-         std::to_string(config_.speculation_multiplier);
+         std::to_string(kSpeculationMultiplier);
   out += ",\"speculation_min_samples\":" +
          std::to_string(config_.speculation_min_samples);
   out += ",\"speculation_min_seconds\":" +
@@ -763,7 +768,7 @@ bool Master::ScanForStragglersLocked(double now) {
       if (hist->count() < config_.speculation_min_samples) continue;
       double threshold =
           std::max(config_.speculation_min_seconds,
-                   config_.speculation_multiplier *
+                   kSpeculationMultiplier *
                        hist->Quantile(config_.speculation_quantile));
       if (now - run.started <= threshold) continue;
       if (!AnotherHealthySlaveLocked(id)) continue;  // nowhere to back up
@@ -824,7 +829,7 @@ void Master::MonitorLoop() {
         changed = true;
       }
     }
-    if (config_.enable_speculation && config_.speculation_quantile > 0) {
+    if (config_.speculation_quantile > 0) {
       changed = ScanForStragglersLocked(now) || changed;
     }
     // done_cv_ doubles as the stats-changed signal for WaitUntilStats.
@@ -856,22 +861,20 @@ Result<XmlRpcValue> Master::RpcSignin(const XmlRpcArray& params) {
   // data server is unreachable would poison lineage with dead URLs the
   // moment it completed a task — reject it at the door instead.  This is
   // a network call, so it runs without the scheduler lock.
-  if (config_.health_check_on_signin) {
-    HttpClient probe(SocketAddr{host, static_cast<uint16_t>(port)});
-    Result<HttpResponse> resp = probe.Get("/status");
-    if (!resp.ok()) {
-      MRS_LOG(kWarning, "master")
-          << "signin rejected: data server probe of " << data_url_base
-          << " failed: " << resp.status().ToString();
-      return UnavailableError("signin rejected: data server " +
-                              data_url_base + " failed its health probe: " +
-                              resp.status().ToString());
-    }
-    if (resp->status_code != 200) {
-      return UnavailableError("signin rejected: data server " +
-                              data_url_base + " health probe returned " +
-                              std::to_string(resp->status_code));
-    }
+  HttpClient probe(SocketAddr{host, static_cast<uint16_t>(port)});
+  Result<HttpResponse> resp = probe.Get("/status");
+  if (!resp.ok()) {
+    MRS_LOG(kWarning, "master")
+        << "signin rejected: data server probe of " << data_url_base
+        << " failed: " << resp.status().ToString();
+    return UnavailableError("signin rejected: data server " +
+                            data_url_base + " failed its health probe: " +
+                            resp.status().ToString());
+  }
+  if (resp->status_code != 200) {
+    return UnavailableError("signin rejected: data server " +
+                            data_url_base + " health probe returned " +
+                            std::to_string(resp->status_code));
   }
 
   MutexLock lock(mutex_);
@@ -942,7 +945,7 @@ Result<XmlRpcValue> Master::RpcGetTask(const XmlRpcArray& params) {
 
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(config_.long_poll_seconds));
+                      std::chrono::duration<double>(kLongPollSeconds));
   while (true) {
     if (shutdown_) {
       XmlRpcStruct out;

@@ -89,25 +89,17 @@ class Master {
     /// sleeps on a condition variable, so Shutdown() is prompt regardless.
     double monitor_interval = 0.2;
     int max_task_attempts = 4;
-    double long_poll_seconds = 0.25;
     bool enable_affinity = true;
-    /// Probe a signing-in slave's data server (GET /status) before
-    /// admitting it to the roster; a slave whose data plane is unreachable
-    /// is rejected at the door instead of poisoning lineage later.
-    bool health_check_on_signin = true;
     /// Seconds a draining slave may linger awaiting release before the
     /// monitor declares it gone (covers a slave that crashes mid-drain).
     double drain_timeout = 10.0;
     /// Speculative execution: launch a backup attempt for a running task
     /// once its elapsed time exceeds
-    ///   max(speculation_min_seconds,
-    ///       speculation_multiplier * Quantile(speculation_quantile))
+    ///   max(speculation_min_seconds, 2 * Quantile(speculation_quantile))
     /// of the per-operation runtime histogram, provided the histogram has
     /// at least speculation_min_samples completions and another healthy
     /// slave exists to run the backup.  quantile <= 0 disables.
-    bool enable_speculation = true;
     double speculation_quantile = 0.9;
-    double speculation_multiplier = 2.0;
     int speculation_min_samples = 3;
     double speculation_min_seconds = 0.25;
     /// Quarantine: a slave reaching this many consecutive non-environmental

@@ -26,9 +26,8 @@ void ApplyMasterOptions(const Options& opts, Master::Config* config) {
   config->missed_ping_limit =
       static_cast<int>(opts.GetInt("mrs-missed-ping-limit", 5));
   config->drain_timeout = opts.GetDouble("mrs-drain-timeout", 10.0);
-  double quantile = opts.GetDouble("mrs-speculation-quantile", 0.9);
-  config->enable_speculation = quantile > 0;
-  if (quantile > 0) config->speculation_quantile = quantile;
+  config->speculation_quantile =
+      opts.GetDouble("mrs-speculation-quantile", 0.9);
   config->quarantine_failure_threshold =
       static_cast<int>(opts.GetInt("mrs-quarantine-failures", 3));
   config->probation_seconds = opts.GetDouble("mrs-probation-seconds", 5.0);

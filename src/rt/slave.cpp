@@ -14,7 +14,6 @@
 #include "core/task.h"
 #include "fs/bucket.h"
 #include "fs/file_io.h"
-#include "fs/merge.h"
 #include "fs/spill.h"
 #include "http/client.h"
 #include "http/pool.h"
@@ -515,42 +514,43 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
   }
 
   auto compute_row = [&]() -> Result<std::vector<Bucket>> {
+    std::vector<Bucket> column;
     if (assignment.kind == DataSetKind::kReduce && spill_ptr != nullptr &&
         assignment.resident_key.empty()) {
       // Budgeted reduce: stage each input part in the attempt's spill file
-      // as a sorted run (one part resident at a time) and stream the k-way
-      // merge, so the full reduce input is never materialized in memory.
-      std::vector<std::unique_ptr<MergeSource>> sources;
+      // as a sorted run, one part resident at a time, so the task merges
+      // the spilled column and never materializes its full input.
       for (const TaskInputPart& part : assignment.inputs) {
-        MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> recs,
+        Bucket staged;
+        MRS_ASSIGN_OR_RETURN(*staged.mutable_records(),
                              LoadTaskInput({part}, fetch));
-        std::stable_sort(recs.begin(), recs.end(), KeyValueLess);
-        MRS_ASSIGN_OR_RETURN(
-            SpillRun run,
-            spill->file->Append(
-                spill->id_prefix + "/in" + std::to_string(sources.size()),
-                recs, /*sorted=*/true));
-        sources.push_back(std::make_unique<SpillRunSource>(std::move(run)));
+        MRS_RETURN_IF_ERROR(staged.SpillToRun(
+            *spill->file,
+            spill->id_prefix + "/in" + std::to_string(column.size()),
+            /*sorted=*/true));
+        column.push_back(std::move(staged));
       }
-      return ReduceMergedSources(*program_, assignment.options,
-                                 assignment.num_splits, std::move(sources),
-                                 spill_ptr);
-    }
-    std::vector<KeyValue> input;
-    if (have_resident_input) {
-      input = std::move(resident_input);
     } else {
-      MRS_ASSIGN_OR_RETURN(input, LoadTaskInput(assignment.inputs, fetch));
-      if (!assignment.resident_key.empty()) {
-        // First round over a pinned split (or a re-send after a miss):
-        // remember the decoded records so later supersteps skip the
-        // fetch+decode entirely.
-        MutexLock lock(store_mutex_);
-        resident_cache_[assignment.resident_key] = input;
+      Bucket all;
+      std::vector<KeyValue>& input = *all.mutable_records();
+      if (have_resident_input) {
+        input = std::move(resident_input);
+      } else {
+        MRS_ASSIGN_OR_RETURN(input, LoadTaskInput(assignment.inputs, fetch));
+        if (!assignment.resident_key.empty()) {
+          // First round over a pinned split (or a re-send after a miss):
+          // remember the decoded records so later supersteps skip the
+          // fetch+decode entirely.
+          MutexLock lock(store_mutex_);
+          resident_cache_[assignment.resident_key] = input;
+        }
       }
+      all.MarkLoaded();
+      column.push_back(std::move(all));
     }
-    return RunTask(*program_, assignment.kind, assignment.options,
-                   assignment.num_splits, std::move(input), spill_ptr);
+    return RunTaskOnBuckets(*program_, assignment.kind, assignment.options,
+                            assignment.num_splits, std::move(column), fetch,
+                            spill_ptr);
   };
   // A throw from user code fails this attempt like any other task error,
   // so the master retries it up to max_task_attempts.

@@ -333,7 +333,7 @@ TEST(Chaos, PingDropSlaveIsDeclaredLostAndMayRevive) {
   // absorb the straggler's work, finishing the job before the silent
   // slave accrues enough quiet time to be declared lost.
   config.master.missed_ping_limit = 2;
-  config.master.enable_speculation = false;
+  config.master.speculation_quantile = 0;
   config.fault_plans.resize(2);
   config.fault_plans[0].drop_pings_after_n_tasks = 1;
   config.fault_plans[0].drop_pings_for_seconds = 2.0;
@@ -592,8 +592,7 @@ TEST(Chaos, SlowEverythingKeepsAnswerIdentical) {
 TEST(Chaos, SpeculationBoundsStragglerDelay) {
   auto run_once = [](double straggler_seconds, bool speculate) {
     ClusterLauncher::Config config = FastFailoverConfig(2);
-    config.master.enable_speculation = speculate;
-    config.master.speculation_quantile = 0.5;
+    config.master.speculation_quantile = speculate ? 0.5 : 0;
     config.master.speculation_min_samples = 3;
     config.master.speculation_min_seconds = 0.05;
     config.fault_plans.resize(2);

@@ -1082,7 +1082,7 @@ Result<SpillRunner> MakeSpillRunner(const std::string& impl,
   } else {
     ClusterLauncher::Config config;
     config.num_slaves = 2;
-    config.master.enable_speculation = false;  // attempts = tasks
+    config.master.speculation_quantile = 0;  // attempts = tasks
     MRS_ASSIGN_OR_RETURN(
         r.cluster,
         ClusterLauncher::Start(
@@ -1215,6 +1215,74 @@ TEST(SpillFiles, FailedAttemptLeavesNoSpillFile) {
     if (r->cluster) r->cluster->Shutdown();
     if (!r->tmpdir.empty()) RemoveTree(r->tmpdir);
   }
+}
+
+// ---- A failed task gives its budget charge back ---------------------------
+//
+// The budget is charged while a task produces, so a task that throws or
+// fails mid-stream must release what it charged; a leak would make every
+// later task in the process spill early.
+
+/// Map: 100 emits, then a throw.  Reduce: every value re-emitted.
+class EmitThenThrow : public MapReduce {
+ public:
+  void Map(const Value&, const Value&, const Emitter& emit) override {
+    for (int64_t i = 0; i < 100; ++i) emit(Value(i), Value("payload"));
+    throw std::runtime_error("map fails after 100 emits");
+  }
+  void Reduce(const Value&, const ValueList& values,
+              const ValueEmitter& emit) override {
+    for (const Value& v : values) emit(v);
+  }
+};
+
+/// 100 sorted records, then the kDataLoss a corrupt run reports.
+class FailsAfter100 : public MergeSource {
+ public:
+  Result<bool> Next(KeyValue* out) override {
+    if (next_ == 100) return DataLossError("run corrupt after 100 records");
+    *out = KeyValue{Value(next_), Value("payload")};
+    ++next_;
+    return true;
+  }
+
+ private:
+  int64_t next_ = 0;
+};
+
+TEST(SpillBudget, ThrowingMapReleasesItsCharge) {
+  ScopedBudget roomy(int64_t{1} << 30);  // active, never asks to spill
+  MemoryBudget& budget = MemoryBudget::Process();
+  budget.ResetForTest();
+  EmitThenThrow program;
+  ASSERT_TRUE(program.Init(Options()).ok());
+  std::optional<TaskSpillContext> spill = NewTaskSpillContext("leak", 1, 0);
+  ASSERT_TRUE(spill.has_value());
+  Result<std::vector<Bucket>> row = CatchUserExceptions("task", [&] {
+    return RunMapTask(program, DataSetOptions(), 4,
+                      {{Value(int64_t{0}), Value("line")}}, &*spill);
+  });
+  ASSERT_FALSE(row.ok());
+  EXPECT_GT(budget.high_water(), 0) << "the map never charged the budget";
+  EXPECT_EQ(budget.usage(), 0);
+}
+
+TEST(SpillBudget, ReduceWhoseMergeFailsReleasesItsCharge) {
+  ScopedBudget roomy(int64_t{1} << 30);
+  MemoryBudget& budget = MemoryBudget::Process();
+  budget.ResetForTest();
+  EmitThenThrow program;
+  ASSERT_TRUE(program.Init(Options()).ok());
+  std::optional<TaskSpillContext> spill = NewTaskSpillContext("leak", 1, 0);
+  ASSERT_TRUE(spill.has_value());
+  std::vector<std::unique_ptr<MergeSource>> sources;
+  sources.push_back(std::make_unique<FailsAfter100>());
+  Result<std::vector<Bucket>> row = ReduceMergedSources(
+      program, DataSetOptions(), 4, std::move(sources), &*spill);
+  ASSERT_FALSE(row.ok());
+  EXPECT_EQ(row.status().code(), StatusCode::kDataLoss);
+  EXPECT_GT(budget.high_water(), 0) << "the reduce never charged the budget";
+  EXPECT_EQ(budget.usage(), 0);
 }
 
 // ---- Mixed-version data plane ----------------------------------------------

@@ -408,6 +408,74 @@ TEST(TypedTier, EnvAndSetterDisableTheTier) {
   EXPECT_EQ(got->Repr(), "5");
 }
 
+// ---- Integer edges: one outcome on every engine ------------------------
+
+/// Calls `f(args)` on the tree-walker, the generic VM and the typed tier,
+/// requires all three to succeed with one Repr(), and returns it.
+std::string ReprOnEveryEngine(const std::string& src,
+                              const std::vector<PyValue>& args) {
+  SCOPED_TRACE(src);
+  minipy::TreeWalker walker;
+  EXPECT_TRUE(walker.LoadSource(src).ok());
+  minipy::Vm generic;
+  generic.set_typed_tier_enabled(false);
+  EXPECT_TRUE(generic.LoadSource(src).ok());
+  AnalysisResult analyzed = AnalyzeOrDie(src);
+  minipy::Vm typed;
+  EXPECT_TRUE(typed.LoadModule(analyzed.module).ok());
+  EXPECT_TRUE(typed.HasTypedFunction("f"));
+  auto tw = walker.Call("f", args);
+  auto gv = generic.Call("f", args);
+  auto tv = typed.Call("f", args);
+  if (!tw.ok() || !gv.ok() || !tv.ok()) {
+    ADD_FAILURE() << tw.status().ToString() << " / " << gv.status().ToString()
+                  << " / " << tv.status().ToString();
+    return "";
+  }
+  EXPECT_EQ(tw->Repr(), gv->Repr());
+  EXPECT_EQ(gv->Repr(), tv->Repr());
+  return tw->Repr();
+}
+
+TEST(IntegerEdges, Int64MinFloorDivAndModByMinusOneWrapOnEveryEngine) {
+  // 0 - x - x with x = 2^62 is INT64_MIN, reached without overflow.  The
+  // quotient by -1 overflows int64 and wraps; a native division would
+  // trap (SIGFPE) and kill the process.
+  const PyValue x(int64_t{1} << 62);
+  const PyValue minus_one(int64_t{-1});
+  const std::string int64_min = "-9223372036854775808";
+  // Divisor written in the source.
+  EXPECT_EQ(ReprOnEveryEngine(
+                "def f(x):\n    return (0 - x - x) // (0 - 1)\n", {x}),
+            int64_min);
+  EXPECT_EQ(ReprOnEveryEngine(
+                "def f(x):\n    return (0 - x - x) % (0 - 1)\n", {x}),
+            "0");
+  EXPECT_EQ(
+      ReprOnEveryEngine("def f(x):\n    return (0 - x - x) // -1\n", {x}),
+      int64_min);
+  EXPECT_EQ(
+      ReprOnEveryEngine("def f(x):\n    return (0 - x - x) % -1\n", {x}),
+      "0");
+  // Divisor passed as an argument.
+  EXPECT_EQ(ReprOnEveryEngine("def f(x, d):\n    return (0 - x - x) // d\n",
+                              {x, minus_one}),
+            int64_min);
+  EXPECT_EQ(ReprOnEveryEngine("def f(x, d):\n    return (0 - x - x) % d\n",
+                              {x, minus_one}),
+            "0");
+}
+
+TEST(IntegerEdges, IntsBeyondTwoTo53CompareExactlyOnEveryEngine) {
+  // 2^53 + 1 rounds to 2^53 as a double, so only an integer compare
+  // tells them apart.
+  const PyValue x(int64_t{1} << 53);
+  EXPECT_EQ(ReprOnEveryEngine("def f(x):\n    return (x + 1) > x\n", {x}),
+            "True");
+  EXPECT_EQ(ReprOnEveryEngine("def f(x):\n    return (x + 1) <= x\n", {x}),
+            "False");
+}
+
 // ---- Differential fuzz: treewalk vs generic VM vs typed tier ------------
 
 /// Deterministic split-mix style generator; no global randomness so every
