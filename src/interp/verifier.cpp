@@ -41,6 +41,11 @@ class FunctionVerifier {
     for (size_t pc = 0; pc < fn_.code.size(); ++pc) {
       CheckStatic(static_cast<int>(pc), fn_.code[pc]);
     }
+    // The compiler ends every function with a return, so an empty one is a
+    // corrupt frame — and SimulateStack starts by reading instruction 0.
+    if (fn_.code.empty()) {
+      Issue("MBC508", -1, "empty function: no instructions");
+    }
     if (issues_->size() != before) return -1;
     return SimulateStack() ? max_stack_ : -1;
   }

@@ -20,6 +20,7 @@
 //   MBC505  inconsistent stack depth at a merge point
 //   MBC506  malformed call (bad argc, unknown builtin, non-string callee)
 //   MBC507  invalid function metadata (params/locals counts)
+//   MBC508  empty function (no instructions)
 #pragma once
 
 #include <set>

@@ -45,9 +45,9 @@
 // the producing tasks (usually the whole dead host's output set) and
 // requeueing them, and such environmental failures are not charged
 // against the reporting task's attempt budget.  ping doubles as the
-// liveness signal the master's monitor thread watches; get_task and
-// task_done also refresh it, and a presumed-lost slave that polls again
-// is revived.
+// liveness signal: every message from a slave refreshes it, the master
+// declares a slave lost at the first event past its silence threshold,
+// and a presumed-lost slave that polls again is revived.
 #pragma once
 
 #include <string>

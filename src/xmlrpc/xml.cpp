@@ -110,7 +110,7 @@ class XmlParser {
 
   Result<XmlElement> ParseDocument() {
     MRS_RETURN_IF_ERROR(SkipMisc());
-    MRS_ASSIGN_OR_RETURN(XmlElement root, ParseElement());
+    MRS_ASSIGN_OR_RETURN(XmlElement root, ParseElement(1));
     MRS_RETURN_IF_ERROR(SkipMisc());
     if (pos_ != in_.size()) {
       return ProtocolError("trailing content after XML root element");
@@ -171,7 +171,14 @@ class XmlParser {
     return std::string(in_.substr(start, pos_ - start));
   }
 
-  Result<XmlElement> ParseElement() {
+  /// Parse one element at nesting `depth` (the root is 1).  Recursion is
+  /// per child, so the kMaxXmlDepth cap bounds the stack a peer's
+  /// document can use.
+  Result<XmlElement> ParseElement(int depth) {
+    if (depth > kMaxXmlDepth) {
+      return ProtocolError("XML nesting deeper than " +
+                           std::to_string(kMaxXmlDepth) + " elements");
+    }
     if (AtEnd() || Peek() != '<') return ProtocolError("expected '<'");
     ++pos_;
     XmlElement elem;
@@ -241,7 +248,7 @@ class XmlParser {
         MRS_ASSIGN_OR_RETURN(std::string decoded, XmlUnescape(raw_text));
         elem.text.append(decoded);
         raw_text.clear();
-        MRS_ASSIGN_OR_RETURN(XmlElement child, ParseElement());
+        MRS_ASSIGN_OR_RETURN(XmlElement child, ParseElement(depth + 1));
         elem.children.push_back(std::move(child));
         continue;
       }

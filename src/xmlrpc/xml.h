@@ -37,7 +37,14 @@ struct XmlElement {
   std::string TrimmedText() const;
 };
 
-/// Parse a complete document; returns the root element.
+/// Deepest element nesting ParseXml accepts (the root is depth 1) — the
+/// same bound as the record decoders' kMaxValueDepth.  The parser recurses
+/// once per level, so the cap bounds the stack one hostile document can
+/// use; every XML-RPC request and response stays far below it.
+inline constexpr int kMaxXmlDepth = 256;
+
+/// Parse a complete document; returns the root element.  Nesting past
+/// kMaxXmlDepth is a ProtocolError.
 Result<XmlElement> ParseXml(std::string_view input);
 
 /// Serialize an element tree (no declaration, no pretty-printing).

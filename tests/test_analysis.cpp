@@ -301,6 +301,22 @@ TEST(BytecodeVerifier, MutatedFrameCorpusIsRejectedNotCrashed) {
       << rejected << "/" << mutants << " rejected";
 }
 
+TEST(BytecodeVerifier, EmptyFunctionIsRejectedByName) {
+  std::shared_ptr<CompiledModule> m = CompilePiKernel();
+  ASSERT_NE(m, nullptr);
+  ASSERT_FALSE(m->functions.empty());
+  m->verified = false;
+  m->functions[0].code.clear();
+  std::vector<minipy::VerifyIssue> issues = VerifyCompiledModule(*m, {"emit"});
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].code, "MBC508");
+  EXPECT_EQ(issues[0].function, m->functions[0].name);
+  m->top_level.code.clear();
+  Status status = minipy::VerifyAndMark(*m, {"emit"});
+  EXPECT_NE(status.message().find("MBC508"), std::string::npos);
+  EXPECT_FALSE(m->verified);
+}
+
 TEST(BytecodeVerifier, UnverifiedModuleIsRefusedByTheVm) {
   std::shared_ptr<CompiledModule> m = CompilePiKernel();
   ASSERT_NE(m, nullptr);

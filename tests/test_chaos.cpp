@@ -197,7 +197,6 @@ ClusterLauncher::Config FastFailoverConfig(int num_slaves) {
   ClusterLauncher::Config config;
   config.num_slaves = num_slaves;
   config.master.slave_timeout = 1.0;
-  config.master.monitor_interval = 0.05;
   config.slave.ping_interval = 0.2;
   return config;
 }
@@ -351,9 +350,10 @@ TEST(Chaos, PingDropSlaveIsDeclaredLostAndMayRevive) {
 
   EXPECT_EQ(EncodeTextRecords(program.result),
             EncodeTextRecords(SerialWordCount()));
-  // The loss is declared asynchronously by the monitor thread; the job can
-  // finish a monitor tick before the declaration lands.  Wait on the
-  // observable stats state (cv-signalled) instead of sampling once.
+  // The loss is declared at the first event past the silence threshold
+  // (the fast slave's next poll); the job can finish before it lands.
+  // Wait on the observable stats state (cv-signalled) instead of sampling
+  // once.
   EXPECT_TRUE((*cluster)->master().WaitUntilStats(
       [](const Master::Stats& s) { return s.slaves_lost >= 1; },
       /*timeout_seconds=*/10.0));

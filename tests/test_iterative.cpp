@@ -264,7 +264,6 @@ ClusterLauncher::Config FastFailoverConfig(int num_slaves) {
   ClusterLauncher::Config config;
   config.num_slaves = num_slaves;
   config.master.slave_timeout = 1.0;
-  config.master.monitor_interval = 0.05;
   config.slave.ping_interval = 0.2;
   return config;
 }

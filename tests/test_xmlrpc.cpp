@@ -5,6 +5,7 @@
 #include "http/client.h"
 #include "http/message.h"
 #include "http/server.h"
+#include "rt/master.h"
 #include "xmlrpc/client.h"
 #include "xmlrpc/protocol.h"
 #include "xmlrpc/server.h"
@@ -52,6 +53,24 @@ TEST(Xml, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseXml("plain text").ok());       // no element
   EXPECT_FALSE(ParseXml("<a>&bogus;</a>").ok());   // unknown entity
   EXPECT_FALSE(ParseXml("<!DOCTYPE x><a/>").ok()); // DTD unsupported
+}
+
+// `depth` elements nested inside one another.
+std::string NestedDocument(int depth) {
+  std::string doc;
+  for (int i = 0; i < depth; ++i) doc += "<a>";
+  for (int i = 0; i < depth; ++i) doc += "</a>";
+  return doc;
+}
+
+TEST(Xml, NestingIsCappedAtMaxDepth) {
+  EXPECT_TRUE(ParseXml(NestedDocument(kMaxXmlDepth)).ok());
+  EXPECT_EQ(ParseXml(NestedDocument(kMaxXmlDepth + 1)).status().code(),
+            StatusCode::kProtocolError);
+  // ~700 KB, deep enough to overflow the stack of a parser that recurses
+  // without a cap.
+  EXPECT_EQ(ParseXml(NestedDocument(100000)).status().code(),
+            StatusCode::kProtocolError);
 }
 
 TEST(Xml, WriteParseRoundTrip) {
@@ -342,6 +361,29 @@ TEST(XmlRpcIntegration, BinaryResponsesAreNegotiatedPerClient) {
   // Faults are always plain XML so every client can read the error.
   auto fault = client.Call("nope", {});
   EXPECT_FALSE(fault.ok());
+}
+
+TEST(XmlRpcIntegration, DeeplyNestedPostLeavesTheMasterServing) {
+  auto master = Master::Start(Master::Config{});
+  ASSERT_TRUE(master.ok()) << master.status().ToString();
+  std::string status_before = (*master)->StatusJson();
+
+  HttpClient client((*master)->addr());
+  auto reply = client.Post("/RPC2", NestedDocument(100000));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  // Answered with a fault naming the cap, not a crash.
+  auto parsed = xmlrpc::ParseResponse(reply->body);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("XML nesting deeper than"),
+            std::string::npos)
+      << parsed.status().ToString();
+
+  HttpClient probe((*master)->addr());
+  auto status = probe.Get("/status");
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  EXPECT_EQ(status->status_code, 200);
+  EXPECT_EQ(status->body, status_before);
+  (*master)->Shutdown();
 }
 
 TEST(XmlRpcIntegration, NonRpcPathUsesFallback) {
