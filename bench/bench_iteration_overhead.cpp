@@ -61,13 +61,21 @@ class NoopIterative : public MapReduce {
   }
 };
 
+/// Seconds per round of a masterslave run, and the seconds it took to
+/// start and to stop its cluster (-1 each if the run failed).
+struct MasterSlaveTimes {
+  double s_per_iter = -1;
+  double setup_s = -1;
+  double teardown_s = -1;
+};
+
 /// Run under an in-process cluster of `num_slaves` slaves with
-/// configurable scheduler knobs; returns seconds per round.
-double RunMasterSlave(int rounds, int num_slaves, bool affinity,
-                      bool shared_files, bool speculation = true) {
+/// configurable scheduler knobs.
+MasterSlaveTimes RunMasterSlave(int rounds, int num_slaves, bool affinity,
+                                bool shared_files, bool speculation = true) {
   NoopIterative program;
   program.rounds = rounds;
-  if (!program.Init(Options()).ok()) return -1;
+  if (!program.Init(Options()).ok()) return {};
 
   ClusterLauncher::Config config;
   config.num_slaves = num_slaves;
@@ -76,10 +84,11 @@ double RunMasterSlave(int rounds, int num_slaves, bool affinity,
   std::string shared_dir;
   if (shared_files) {
     auto dir = MakeTempDir("mrs_bench_iter_");
-    if (!dir.ok()) return -1;
+    if (!dir.ok()) return {};
     shared_dir = *dir;
     config.slave.shared_dir = shared_dir;
   }
+  Stopwatch setup;
   auto cluster = ClusterLauncher::Start(
       [&]() -> std::unique_ptr<MapReduce> {
         auto p = std::make_unique<NoopIterative>();
@@ -87,21 +96,26 @@ double RunMasterSlave(int rounds, int num_slaves, bool affinity,
         return p;
       },
       Options(), config);
-  if (!cluster.ok()) return -1;
+  if (!cluster.ok()) return {};
+  MasterSlaveTimes times;
+  times.setup_s = setup.ElapsedSeconds();
 
   Job job(&program, std::make_unique<MasterRunner>(&(*cluster)->master()));
   job.set_default_parallelism(kSplits);
   Stopwatch watch;
   Status status = program.Run(job);
   double elapsed = watch.ElapsedSeconds();
+  Stopwatch teardown;
   (*cluster)->Shutdown();
+  times.teardown_s = teardown.ElapsedSeconds();
   if (!shared_dir.empty()) RemoveTree(shared_dir);
   if (!status.ok()) {
     std::fprintf(stderr, "masterslave run failed: %s\n",
                  status.ToString().c_str());
-    return -1;
+    return {};
   }
-  return elapsed / rounds;
+  times.s_per_iter = elapsed / rounds;
+  return times;
 }
 
 /// Nanoseconds per (counter Inc + histogram Observe) pair with the kill
@@ -257,7 +271,8 @@ int main(int argc, char** argv) {
   int64_t connects_before = reg.GetCounter("mrs.http.client.connects")->value();
   int64_t pool_hits_before = reg.GetCounter("mrs.http.pool.hits")->value();
   int64_t batches_before = reg.GetCounter("mrs.slave.batch_fetches")->value();
-  double ms_affinity = RunMasterSlave(rounds, 4, true, false);
+  MasterSlaveTimes ms_s4 = RunMasterSlave(rounds, 4, true, false);
+  double ms_affinity = ms_s4.s_per_iter;
   double connects =
       static_cast<double>(reg.GetCounter("mrs.http.client.connects")->value() -
                           connects_before);
@@ -265,16 +280,18 @@ int main(int argc, char** argv) {
       reg.GetCounter("mrs.http.pool.hits")->value() - pool_hits_before);
   double batches = static_cast<double>(
       reg.GetCounter("mrs.slave.batch_fetches")->value() - batches_before);
-  double ms_no_affinity = RunMasterSlave(rounds, 4, false, false);
-  double ms_shared = RunMasterSlave(rounds, 4, true, true);
+  double ms_no_affinity = RunMasterSlave(rounds, 4, false, false).s_per_iter;
+  double ms_shared = RunMasterSlave(rounds, 4, true, true).s_per_iter;
   // Speculation ablation: with no stragglers every task finishes under the
   // threshold, so the straggler scan should cost ~nothing — any gap
   // between these two columns is pure scheduler overhead.
-  double ms_spec_off = RunMasterSlave(rounds, 4, true, false, false);
+  double ms_spec_off =
+      RunMasterSlave(rounds, 4, true, false, false).s_per_iter;
   // Slave-count sweep: per-round overhead as the cluster widens and every
-  // server holds more keep-alive connections.
-  double ms_s8 = RunMasterSlave(rounds, 8, true, false);
-  double ms_s16 = RunMasterSlave(rounds, 16, true, false);
+  // server holds more keep-alive connections, and the cost of starting and
+  // stopping the cluster (a fixed cost of every run: Mrs keeps no daemons).
+  MasterSlaveTimes ms_s8 = RunMasterSlave(rounds, 8, true, false);
+  MasterSlaveTimes ms_s16 = RunMasterSlave(rounds, 16, true, false);
 
   // Observability kill switch (acceptance bar: <= 2% on this bench).  The
   // instrument cost is nanoseconds per task; end-to-end runs jitter by
@@ -285,7 +302,7 @@ int main(int argc, char** argv) {
   // actually performs to get the per-round cost.  A kill-switch
   // masterslave run is still reported for completeness.
   obs::SetMetricsEnabled(false);
-  double ms_no_metrics = RunMasterSlave(rounds, 4, true, false);
+  double ms_no_metrics = RunMasterSlave(rounds, 4, true, false).s_per_iter;
   obs::SetMetricsEnabled(true);
 
   double on_ns = -1, off_ns = -1;
@@ -356,10 +373,22 @@ int main(int argc, char** argv) {
         "fault-tolerant bucket path"},
        {"mrs masterslave (speculation off)", bench::Fmt("%.4f", ms_spec_off),
         "ablation: no straggler backups"},
-       {"mrs masterslave (8 slaves)", bench::Fmt("%.4f", ms_s8),
+       {"mrs masterslave (8 slaves)", bench::Fmt("%.4f", ms_s8.s_per_iter),
         "slave-count sweep"},
-       {"mrs masterslave (16 slaves)", bench::Fmt("%.4f", ms_s16),
+       {"mrs masterslave (16 slaves)", bench::Fmt("%.4f", ms_s16.s_per_iter),
         "slave-count sweep"},
+       {"cluster start / stop (4 slaves)",
+        bench::Fmt("%.4f", ms_s4.setup_s) + " / " +
+            bench::Fmt("%.4f", ms_s4.teardown_s),
+        "seconds, once per run"},
+       {"cluster start / stop (8 slaves)",
+        bench::Fmt("%.4f", ms_s8.setup_s) + " / " +
+            bench::Fmt("%.4f", ms_s8.teardown_s),
+        "seconds, once per run"},
+       {"cluster start / stop (16 slaves)",
+        bench::Fmt("%.4f", ms_s16.setup_s) + " / " +
+            bench::Fmt("%.4f", ms_s16.teardown_s),
+        "seconds, once per run"},
        {"mrs masterslave (metrics off)", bench::Fmt("%.4f", ms_no_metrics),
         "obs kill switch"},
        {"metrics hot path", bench::Fmt("%.4f ns/op", delta_ns),
@@ -401,8 +430,14 @@ int main(int argc, char** argv) {
        {"masterslave_shared_files_s_per_iter", ms_shared},
        {"masterslave_speculation_on_s_per_iter", ms_affinity},
        {"masterslave_speculation_off_s_per_iter", ms_spec_off},
-       {"masterslave_s8_s_per_iter", ms_s8},
-       {"masterslave_s16_s_per_iter", ms_s16},
+       {"masterslave_s8_s_per_iter", ms_s8.s_per_iter},
+       {"masterslave_s16_s_per_iter", ms_s16.s_per_iter},
+       {"masterslave_s4_setup_s", ms_s4.setup_s},
+       {"masterslave_s4_teardown_s", ms_s4.teardown_s},
+       {"masterslave_s8_setup_s", ms_s8.setup_s},
+       {"masterslave_s8_teardown_s", ms_s8.teardown_s},
+       {"masterslave_s16_setup_s", ms_s16.setup_s},
+       {"masterslave_s16_teardown_s", ms_s16.teardown_s},
        {"masterslave_metrics_off_s_per_iter", ms_no_metrics},
        {"metrics_ns_per_op_on", on_ns},
        {"metrics_ns_per_op_off", off_ns},

@@ -46,6 +46,13 @@ class VirtualClock final : public Clock {
   double now_ = 0.0;
 };
 
+/// The steady_clock time `seconds` from now, for CondVar::WaitUntil.
+inline std::chrono::steady_clock::time_point DeadlineAfter(double seconds) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(seconds));
+}
+
 /// Scoped stopwatch against a Clock (defaults to real time).
 class Stopwatch {
  public:

@@ -73,6 +73,14 @@ const Bucket& DataSet::bucket(int source, int split) const {
   return grid_[GridIndex(source, split)];
 }
 
+std::optional<Bucket> DataSet::CompletedBucket(int source, int split) const {
+  assert(source >= 0 && source < num_sources_);
+  assert(split >= 0 && split < num_splits_);
+  MutexLock lock(mutex_);
+  if (task_states_[source] != TaskState::kComplete) return std::nullopt;
+  return grid_[GridIndex(source, split)];
+}
+
 void DataSet::SetRow(int source, std::vector<Bucket> row,
                      SpillFile* spill_file) {
   assert(static_cast<int>(row.size()) == num_splits_);

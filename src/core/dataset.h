@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,11 @@ class DataSet {
 
   Bucket& bucket(int source, int split);
   const Bucket& bucket(int source, int split) const;
+  /// A copy of bucket [source][split] taken under the lock while row
+  /// `source` is complete; nullopt while it is not (InvalidateTask sent it
+  /// back for re-execution).  Collect reads this copy, so a row that is
+  /// invalidated after Wait never reads as an empty bucket.
+  std::optional<Bucket> CompletedBucket(int source, int split) const;
 
   /// Replace row `source` with freshly computed buckets (one per split).
   /// Marks the task complete.  Thread-safe across distinct sources.

@@ -124,30 +124,39 @@ Result<std::vector<KeyValue>> Job::Collect(const DataSetPtr& dataset) {
   }
   for (int split = 0; split < dataset->num_splits(); ++split) {
     for (int source = 0; source < dataset->num_sources(); ++source) {
-      MRS_RETURN_IF_ERROR(LoadForCollect(dataset, source, split, fetch));
-      const Bucket& b = dataset->bucket(source, split);
-      out.insert(out.end(), b.records().begin(), b.records().end());
+      MRS_RETURN_IF_ERROR(CollectBucket(dataset, source, split, fetch, &out));
     }
   }
   return out;
 }
 
-Status Job::LoadForCollect(const DataSetPtr& dataset, int source, int split,
-                           const UrlFetcher& fetch) {
-  // The host of a finished bucket may die after Wait returns.  The runner
-  // re-derives the bucket through lineage, which replaces the row, so the
-  // bucket is looked up afresh after every Wait.
+Status Job::CollectBucket(const DataSetPtr& dataset, int source, int split,
+                          const UrlFetcher& fetch, std::vector<KeyValue>* out) {
+  // The master may invalidate a finished row after Wait returns (lineage
+  // recovery after its host died) and re-derive it.  So the bucket is read
+  // from a copy taken while its row is complete, and the dataset is waited
+  // for again while the row is not complete or when the copy's host is gone.
   constexpr int kMaxRecoveries = 4;
   for (int recoveries = 0;; ++recoveries) {
-    Bucket& b = dataset->bucket(source, split);
-    std::string url = b.url();
-    Status loaded = b.EnsureLoaded(fetch);
-    if (loaded.ok() || url.empty() || recoveries == kMaxRecoveries ||
-        !runner_->RecoverLostUrl(url)) {
-      return loaded;
+    std::optional<Bucket> b = dataset->CompletedBucket(source, split);
+    Status loaded = b ? b->EnsureLoaded(fetch)
+                      : UnavailableError("collect: row " +
+                                         std::to_string(source) +
+                                         " is being re-derived");
+    if (loaded.ok()) {
+      std::vector<KeyValue>& records = *b->mutable_records();
+      out->insert(out->end(), std::make_move_iterator(records.begin()),
+                  std::make_move_iterator(records.end()));
+      return Status::Ok();
     }
-    MRS_LOG(kWarning, "job") << "collect: re-deriving lost bucket " << url
-                             << " (" << loaded.ToString() << ")";
+    if (recoveries == kMaxRecoveries) return loaded;
+    if (b) {
+      if (b->url().empty() || !runner_->RecoverLostUrl(b->url())) {
+        return loaded;
+      }
+      MRS_LOG(kWarning, "job") << "collect: re-deriving lost bucket "
+                               << b->url() << " (" << loaded.ToString() << ")";
+    }
     MRS_RETURN_IF_ERROR(Wait(dataset));
   }
 }

@@ -82,11 +82,12 @@ class Job {
   int ResolveSplits(int requested) const {
     return requested > 0 ? requested : default_parallelism_;
   }
-  /// Load bucket (source, split) of a complete dataset for Collect, asking
-  /// the runner to re-derive it (a bounded number of times) when its host
-  /// is gone.
-  Status LoadForCollect(const DataSetPtr& dataset, int source, int split,
-                        const UrlFetcher& fetch);
+  /// Append the records of bucket (source, split) of a complete dataset to
+  /// `out`.  Waits for the dataset again while the bucket's row is being
+  /// re-derived, and asks the runner to re-derive it (a bounded number of
+  /// times in all) when its host is gone.
+  Status CollectBucket(const DataSetPtr& dataset, int source, int split,
+                       const UrlFetcher& fetch, std::vector<KeyValue>* out);
 
   MapReduce* program_;
   std::unique_ptr<Runner> runner_;

@@ -43,9 +43,12 @@ HttpServer::~HttpServer() { Shutdown(); }
 void HttpServer::Shutdown() {
   bool expected = false;
   if (!stop_.compare_exchange_strong(expected, true)) return;
+  // Half-closing a listening socket takes it out of the listen state, so
+  // late peers get connection-refused (retryable) instead of sitting in the
+  // backlog waiting on a dead server, and Linux wakes the accept loop's
+  // poll with POLLHUP.
+  ::shutdown(listener_.fd(), SHUT_RD);
   if (accept_thread_.joinable()) accept_thread_.join();
-  // Close the listener so late peers get connection-refused (retryable)
-  // instead of sitting in the accept backlog waiting on a dead server.
   listener_.Close();
   {
     // Half-closing wakes every connection thread blocked in poll with EOF;
@@ -67,11 +70,13 @@ void HttpServer::JoinFinished() {
 }
 
 void HttpServer::AcceptLoop() {
-  while (!stop_.load()) {
+  while (true) {
     JoinFinished();
+    // Blocks until a peer connects or Shutdown half-closes the listener.
     pollfd pfd{listener_.fd(), POLLIN, 0};
-    int n = ::poll(&pfd, 1, /*timeout_ms=*/50);
-    if (n <= 0) continue;
+    int n = ::poll(&pfd, 1, /*timeout_ms=*/-1);
+    if (stop_.load()) return;  // before accept: a shut listener fails it
+    if (n <= 0) continue;      // EINTR
     Result<TcpConn> conn = listener_.Accept();
     if (!conn.ok()) {
       if (conn.status().code() != StatusCode::kUnavailable) {

@@ -2,10 +2,10 @@
 //
 // Plays the role of the "built-in HTTP server" each Mrs slave runs to serve
 // intermediate data files, and carries XML-RPC traffic for the master.  One
-// accept thread polls the listener and starts one thread per accepted
-// connection.  That thread serves the connection's keep-alive requests
-// until the peer closes, the connection idles past a fixed limit, or
-// Shutdown() half-closes it.  Handlers are plain functions from request to
+// accept thread blocks in poll on the listener and starts one thread per
+// accepted connection.  That thread serves the connection's keep-alive
+// requests until the peer closes, the connection idles past a fixed limit,
+// or Shutdown() half-closes it.  Handlers are plain functions from request to
 // response, and they may block — the master's get_task long-polls — which
 // is why connections get their own threads instead of sharing a bounded
 // pool: a pool smaller than the number of open peer connections would
@@ -51,9 +51,11 @@ class HttpServer {
     return "http://" + addr().ToString();
   }
 
-  /// Stop accepting, half-close every open connection, and join each
-  /// connection thread once it has answered its request in flight, so no
-  /// handler outlives the server.  Idempotent.
+  /// Stop accepting and close the listener, half-close every open
+  /// connection, and join each connection thread once it has answered its
+  /// request in flight, so no handler outlives the server.  Returns as
+  /// soon as those threads are joined: nothing waits for a timeout.
+  /// Idempotent.
   void Shutdown();
 
  private:
@@ -62,7 +64,8 @@ class HttpServer {
   /// Body of a connection's thread: serve, then deregister.
   void RunConnection(TcpConn conn);
   void ServeRequests(const TcpConn& conn);
-  /// Join the threads of connections that have closed.
+  /// Join the threads of connections that have closed (at each accept,
+  /// and in Shutdown).
   void JoinFinished();
 
   TcpListener listener_;

@@ -17,12 +17,6 @@ double NowSeconds() { return RealClock::Instance().Now(); }
 
 /// How long get_task waits for work before answering "wait".
 constexpr double kLongPollSeconds = 0.25;
-
-std::chrono::steady_clock::time_point DeadlineAfter(double seconds) {
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(seconds));
-}
 }  // namespace
 
 Master::Master(Config config)
@@ -72,9 +66,7 @@ void Master::Shutdown() {
     if (shutdown_) return;
     shutdown_ = true;
   }
-  Notify();
-  // Give slaves a moment to pick up the quit response before the server
-  // goes away; they also handle connection failures gracefully.
+  Notify();  // every get_task long poll answers "quit"
   server_->Shutdown();
 }
 

@@ -1,7 +1,6 @@
 #include "rt/slave.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <optional>
 
@@ -217,12 +216,7 @@ void Slave::PingLoop() {
   const int log_threshold = std::max(1, config_.ping_failure_log_threshold);
   double interval = base_interval;
   int consecutive_failures = 0;
-  while (!stop_.load()) {
-    // Sleep in short slices so Stop() takes effect promptly.
-    for (double slept = 0; slept < interval && !stop_.load(); slept += 0.05) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    if (stop_.load()) return;
+  while (!StoppedWithin(interval)) {
     if (InPingDropWindow()) continue;
     Result<XmlRpcValue> r = ping_rpc_->Call(
         "ping", XmlRpcArray{XmlRpcValue(static_cast<int64_t>(id_))});
@@ -242,6 +236,21 @@ void Slave::PingLoop() {
   }
 }
 
+bool Slave::StoppedWithin(double seconds) {
+  const auto deadline = DeadlineAfter(seconds);
+  MutexLock lock(stop_mutex_);
+  while (!stop_.load()) {
+    if (!stop_cv_.WaitUntil(stop_mutex_, deadline)) break;  // timed out
+  }
+  return stop_.load();
+}
+
+void Slave::Stop() {
+  MutexLock lock(stop_mutex_);
+  stop_.store(true);
+  stop_cv_.NotifyAll();
+}
+
 Slave::~Slave() {
   Stop();
   if (ping_thread_.joinable()) ping_thread_.join();
@@ -250,7 +259,7 @@ Slave::~Slave() {
 
 void Slave::Crash() {
   crashed_.store(true);
-  stop_.store(true);
+  Stop();
   if (data_server_) data_server_->Shutdown();
 }
 
@@ -752,7 +761,7 @@ Status Slave::Run() {
         return UnavailableError("lost contact with master: " +
                                 reply.status().ToString());
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      if (StoppedWithin(0.05)) break;
       continue;
     }
     idle_streak = 0;

@@ -105,8 +105,9 @@ class Slave {
   /// called.  Returns the loop's exit status.
   Status Run();
 
-  /// Ask the loop to exit (safe from other threads).
-  void Stop() { stop_.store(true); }
+  /// Ask the loop to exit, and wake the ping thread and a lost-master
+  /// retry pause at once (safe from other threads).
+  void Stop();
 
   /// Graceful retirement (safe from other threads): the main loop sends
   /// the `drain` RPC once, keeps serving its buckets, and exits when the
@@ -147,6 +148,9 @@ class Slave {
   void HandleDiscards(const XmlRpcValue& response);
   bool DrawFetchFault();
   bool InPingDropWindow();
+  /// Wait up to `seconds`, returning early once Stop() or Crash() is
+  /// called.  True if the slave is stopping.
+  bool StoppedWithin(double seconds);
 
   void PingLoop();
 
@@ -160,7 +164,11 @@ class Slave {
   // to the master.
   std::unique_ptr<XmlRpcClient> ping_rpc_;
   std::thread ping_thread_;
+  // Set under stop_mutex_ so a StoppedWithin wait cannot miss it; read
+  // without the lock everywhere else.
   std::atomic<bool> stop_{false};
+  Mutex stop_mutex_;
+  CondVar stop_cv_;
   std::atomic<bool> crashed_{false};
   std::atomic<bool> drain_requested_{false};
   std::atomic<int64_t> tasks_executed_{0};

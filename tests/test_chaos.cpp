@@ -336,7 +336,16 @@ TEST(Chaos, PingDropSlaveIsDeclaredLostAndMayRevive) {
   config.fault_plans.resize(2);
   config.fault_plans[0].drop_pings_after_n_tasks = 1;
   config.fault_plans[0].drop_pings_for_seconds = 2.0;
-  config.fault_plans[0].slow_task_seconds = 0.6;  // no get_task traffic either
+  // 1 s per task, with no get_task traffic either: the silence of its
+  // second task outlasts the 0.4 s threshold by far more than the 0.2 s
+  // between the other slave's pings, so the loss is declared before the
+  // task reports.
+  config.fault_plans[0].slow_task_seconds = 1.0;
+  // The slow slave must win a second task inside its ping-drop window.
+  // Every reduce needs the slow slave's first map, so four reduces fall
+  // due the moment that map reports; taking 0.1 s per task, the other
+  // slave can claim at most one before the slow slave asks for its next.
+  config.fault_plans[1].slow_task_seconds = 0.1;
   auto cluster = ClusterLauncher::Start(
       [] { return std::unique_ptr<MapReduce>(new ChaosWordCount()); },
       Options(), config);

@@ -430,6 +430,52 @@ TEST(Runners, FailedTaskRunsAgainOnTheNextWait) {
   }
 }
 
+// Stands in for the master's lineage recovery: once a Wait has completed
+// the reduce dataset, row 0 is invalidated, as the master does when the
+// host of a finished row dies.  The serial runner re-derives the row at
+// the next Wait.
+class InvalidateAfterWaitRunner final : public Runner {
+ public:
+  explicit InvalidateAfterWaitRunner(MapReduce* program) : inner_(program) {}
+
+  void Submit(const DataSetPtr& dataset) override { inner_.Submit(dataset); }
+  Status Wait(const DataSetPtr& dataset) override {
+    Status status = inner_.Wait(dataset);
+    if (status.ok() && dataset->kind() == DataSetKind::kReduce) {
+      if (++reduce_waits == 1) dataset->InvalidateTask(0);
+    }
+    return status;
+  }
+  UrlFetcher fetcher() override { return inner_.fetcher(); }
+  std::string name() const override { return "invalidate-after-wait"; }
+
+  int reduce_waits = 0;
+
+ private:
+  SerialRunner inner_;
+};
+
+TEST(Runners, CollectWaitsAgainForARowInvalidatedAfterWait) {
+  CountProgram serial;
+  ASSERT_TRUE(serial.Init(Options()).ok());
+  auto want =
+      RunWithRunner(std::make_unique<SerialRunner>(&serial), &serial, 3);
+
+  CountProgram p;
+  ASSERT_TRUE(p.Init(Options()).ok());
+  auto runner = std::make_unique<InvalidateAfterWaitRunner>(&p);
+  InvalidateAfterWaitRunner* invalidating = runner.get();
+  Job job(&p, std::move(runner));
+  job.set_default_parallelism(3);
+  DataSetPtr reduced =
+      job.ReduceData(job.MapData(job.LocalData(WordInput())));
+  auto out = job.Collect(reduced);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  // Read as empty, the invalidated row would drop words from the counts.
+  EXPECT_EQ(ToCounts(*out), want);
+  EXPECT_EQ(invalidating->reduce_waits, 2);
+}
+
 TEST(Runners, FileDataReadsNestedDirectories) {
   CountProgram p;
   ASSERT_TRUE(p.Init(Options()).ok());

@@ -426,6 +426,42 @@ TEST_F(HttpIntegration, ShutdownWaitsForTheRequestInFlight) {
   EXPECT_EQ(resp->body.size(), 8u << 20);
 }
 
+// Shutdown wakes the accept loop and every idle connection at once: it
+// waits for no traffic and no poll timeout.  A lost wake-up hangs these
+// tests until their ctest TIMEOUT.  Twenty servers must stop in less time
+// than four 50 ms poll slices.
+HttpResponse Empty(const HttpRequest&) { return HttpResponse::Ok(""); }
+
+TEST(HttpServerShutdown, IdleServerStopsWithoutAnyTraffic) {
+  std::vector<std::unique_ptr<HttpServer>> servers;
+  for (int i = 0; i < 20; ++i) {
+    auto server = HttpServer::Start("127.0.0.1", 0, Empty);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    servers.push_back(std::move(server).value());
+  }
+  SleepForSeconds(0.02);  // every accept thread is now waiting in poll
+  Stopwatch watch;
+  for (auto& server : servers) server->Shutdown();
+  EXPECT_LT(watch.ElapsedSeconds(), 0.2);
+}
+
+TEST(HttpServerShutdown, IdleKeepAliveConnectionDoesNotHoldItUp) {
+  double shutdown_seconds = 0;
+  for (int i = 0; i < 20; ++i) {
+    auto server = HttpServer::Start("127.0.0.1", 0, Empty);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    HttpClient client((*server)->addr());
+    // One answered request leaves the connection open and idle.
+    ASSERT_TRUE(client.Get("/").ok());
+    Stopwatch watch;
+    (*server)->Shutdown();
+    shutdown_seconds += watch.ElapsedSeconds();
+    // The listener is closed too: a late peer is refused, not queued.
+    EXPECT_FALSE(TcpConn::Connect((*server)->addr(), 1.0).ok());
+  }
+  EXPECT_LT(shutdown_seconds, 0.2);
+}
+
 TEST_F(HttpIntegration, TransientServerErrorIsRetryableNotNotFound) {
   flaky_failures_.store(2);
   std::string url = server_->url_base() + "/flaky";

@@ -275,7 +275,10 @@ std::unique_ptr<MapReduce> WideIterativeProgram() {
 TEST(MasterSlave, SixteenSlavesMatchSerialAndShutDownPromptly) {
   // Sixteen slaves keep dozens of keep-alive connections open to the
   // master and to each other's data servers, and every one must be
-  // served.  A stall here ends in test_rt's ctest TIMEOUT.
+  // served.  A stall here ends in test_rt's ctest TIMEOUT.  Stopping the
+  // cluster wakes every accept loop and ping thread at once, so it takes
+  // milliseconds; a 50 ms poll slice per server or ping thread would not
+  // fit under the bound.
   std::unique_ptr<MapReduce> serial = WideIterativeProgram();
   ASSERT_TRUE(serial->Init(Options()).ok());
   RunConfig serial_config;
@@ -295,7 +298,7 @@ TEST(MasterSlave, SixteenSlavesMatchSerialAndShutDownPromptly) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   Stopwatch shutdown;
   (*cluster)->Shutdown();
-  EXPECT_LT(shutdown.ElapsedSeconds(), 10.0);
+  EXPECT_LT(shutdown.ElapsedSeconds(), 0.15);
 
   auto& got = static_cast<IterativeProgram&>(*program).result;
   auto& want = static_cast<IterativeProgram&>(*serial).result;
