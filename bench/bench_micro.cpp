@@ -18,11 +18,29 @@
 namespace mrs {
 namespace {
 
-std::vector<KeyValue> MakeRecords(int n) {
+/// kIntValue: 100 distinct short keys with int values (a word count).
+/// kDistSort: DistSort's record, a 10-byte key and a 90-byte string value
+/// drawn from its 62-letter alphabet (sort/distsort.cpp).
+enum class Shape { kIntValue, kDistSort };
+
+std::string RandomText(MT19937_64* rng, int n) {
+  static constexpr char kAlphabet[] =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+  std::string s;
+  for (int i = 0; i < n; ++i) s.push_back(kAlphabet[rng->NextBounded(62)]);
+  return s;
+}
+
+std::vector<KeyValue> MakeRecords(int n, Shape shape = Shape::kIntValue) {
   std::vector<KeyValue> records;
   records.reserve(n);
   MT19937_64 rng(7);
   for (int i = 0; i < n; ++i) {
+    if (shape == Shape::kDistSort) {
+      records.push_back(
+          KeyValue{Value(RandomText(&rng, 10)), Value(RandomText(&rng, 90))});
+      continue;
+    }
     records.push_back(KeyValue{
         Value("key" + std::to_string(rng.NextBounded(100))),
         Value(static_cast<int64_t>(rng.NextU64()))});
@@ -39,15 +57,19 @@ void BM_EncodeBinaryRecords(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeBinaryRecords)->Arg(100)->Arg(10000);
 
-void BM_DecodeBinaryRecords(benchmark::State& state) {
-  std::string encoded =
-      EncodeBinaryRecords(MakeRecords(static_cast<int>(state.range(0))));
+void BM_DecodeBinaryRecords(benchmark::State& state, Shape shape) {
+  std::string encoded = EncodeBinaryRecords(
+      MakeRecords(static_cast<int>(state.range(0)), shape));
   for (auto _ : state) {
     benchmark::DoNotOptimize(DecodeBinaryRecords(encoded));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DecodeBinaryRecords)->Arg(100)->Arg(10000);
+BENCHMARK_CAPTURE(BM_DecodeBinaryRecords, int_value, Shape::kIntValue)
+    ->Arg(100)
+    ->Arg(10000);
+BENCHMARK_CAPTURE(BM_DecodeBinaryRecords, distsort, Shape::kDistSort)
+    ->Arg(10000);
 
 // The checksum layer: every bucket payload is hashed once per spill write
 // and once per verifying read.  ContentChecksum is XXH64; Fnv1aChecksum is
@@ -73,21 +95,30 @@ void BM_Fnv1aChecksum(benchmark::State& state) {
 }
 BENCHMARK(BM_Fnv1aChecksum)->Arg(64 << 10)->Arg(1 << 20);
 
-void BM_SortGroup(benchmark::State& state) {
-  auto records = MakeRecords(static_cast<int>(state.range(0)));
+void BM_SortGroup(benchmark::State& state, Shape shape) {
+  auto records = MakeRecords(static_cast<int>(state.range(0)), shape);
   ReduceFn sum = [](const Value&, const ValueList& values,
                     const ValueEmitter& emit) {
     int64_t s = 0;
     for (const Value& v : values) s += v.AsInt();
     emit(Value(s));
   };
+  // DistSort's reduce passes every value through.
+  ReduceFn identity = [](const Value&, const ValueList& values,
+                         const ValueEmitter& emit) {
+    for (const Value& v : values) emit(v);
+  };
+  const ReduceFn& reduce = shape == Shape::kDistSort ? identity : sum;
   for (auto _ : state) {
     auto copy = records;
-    benchmark::DoNotOptimize(SortGroupApply(std::move(copy), sum));
+    benchmark::DoNotOptimize(SortGroupApply(std::move(copy), reduce));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SortGroup)->Arg(1000)->Arg(100000);
+BENCHMARK_CAPTURE(BM_SortGroup, int_value, Shape::kIntValue)
+    ->Arg(1000)
+    ->Arg(100000);
+BENCHMARK_CAPTURE(BM_SortGroup, distsort, Shape::kDistSort)->Arg(100000);
 
 // The task funnel (core/task.h), unbudgeted: a word count over 200k
 // records with 20k distinct string keys, partitioned 4 ways.

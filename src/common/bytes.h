@@ -132,9 +132,16 @@ class ByteReader {
   }
 
   Result<std::string> GetLengthPrefixed() {
+    MRS_ASSIGN_OR_RETURN(std::string_view s, GetLengthPrefixedView());
+    return std::string(s);
+  }
+
+  /// The same bytes as a view into the reader's buffer, valid as long as
+  /// that buffer is.
+  Result<std::string_view> GetLengthPrefixedView() {
     MRS_ASSIGN_OR_RETURN(uint64_t len, GetVarint());
     if (remaining() < len) return Truncated("length-prefixed bytes");
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
+    std::string_view s(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;
     return s;
   }

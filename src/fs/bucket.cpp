@@ -121,7 +121,14 @@ std::string BucketFileName(std::string_view dataset_id, int source, int split) {
 }
 
 std::string EncodeBucketFrames(const std::vector<BucketFrame>& frames) {
+  // Reserve the whole body (a length prefix is at most 10 bytes), so a
+  // bucket of many megabytes is not copied on every doubling.
+  size_t size = kBucketFramesFormat.size() + 10;
+  for (const BucketFrame& f : frames) {
+    size += 30 + f.id.size() + f.checksum.size() + f.data.size();
+  }
   Bytes out;
+  out.reserve(size);
   ByteWriter w(&out);
   w.PutRaw(kBucketFramesFormat.data(), kBucketFramesFormat.size());
   w.PutVarint(frames.size());
@@ -133,7 +140,10 @@ std::string EncodeBucketFrames(const std::vector<BucketFrame>& frames) {
   return std::string(reinterpret_cast<const char*>(out.data()), out.size());
 }
 
-Result<std::vector<BucketFrame>> DecodeBucketFrames(std::string_view body) {
+namespace {
+
+/// The frames of an encoded frame set as views into `body`, unverified.
+Result<std::vector<BucketFrameView>> ParseBucketFrames(std::string_view body) {
   if (!StartsWith(body, kBucketFramesFormat)) {
     return DataLossError("bucket frame payload missing mrsk1 magic");
   }
@@ -144,18 +154,14 @@ Result<std::vector<BucketFrame>> DecodeBucketFrames(std::string_view body) {
     return DataLossError("bucket frame count " + std::to_string(count) +
                          " exceeds the body");
   }
-  std::vector<BucketFrame> frames;
+  std::vector<BucketFrameView> frames;
   frames.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    BucketFrame f;
-    MRS_ASSIGN_OR_RETURN(f.id, r.GetLengthPrefixed());
-    MRS_ASSIGN_OR_RETURN(f.checksum, r.GetLengthPrefixed());
-    MRS_ASSIGN_OR_RETURN(f.data, r.GetLengthPrefixed());
-    if (!ChecksumMatches(f.data, f.checksum)) {
-      return DataLossError("bucket frame " + f.id +
-                           " checksum mismatch in batched transfer");
-    }
-    frames.push_back(std::move(f));
+    BucketFrameView f;
+    MRS_ASSIGN_OR_RETURN(f.id, r.GetLengthPrefixedView());
+    MRS_ASSIGN_OR_RETURN(f.checksum, r.GetLengthPrefixedView());
+    MRS_ASSIGN_OR_RETURN(f.data, r.GetLengthPrefixedView());
+    frames.push_back(f);
   }
   if (!r.empty()) {
     return DataLossError("trailing bytes after bucket frames");
@@ -163,16 +169,47 @@ Result<std::vector<BucketFrame>> DecodeBucketFrames(std::string_view body) {
   return frames;
 }
 
+Status CheckFrame(std::string_view id, std::string_view checksum,
+                  std::string_view data) {
+  if (ChecksumMatches(data, checksum)) return Status::Ok();
+  return DataLossError("bucket frame " + std::string(id) +
+                       " checksum mismatch in batched transfer");
+}
+
+}  // namespace
+
+Result<std::vector<BucketFrameView>> DecodeBucketFrameViews(
+    std::string_view body) {
+  MRS_ASSIGN_OR_RETURN(std::vector<BucketFrameView> frames,
+                       ParseBucketFrames(body));
+  for (const BucketFrameView& f : frames) {
+    MRS_RETURN_IF_ERROR(CheckFrame(f.id, f.checksum, f.data));
+  }
+  return frames;
+}
+
+Result<std::vector<BucketFrame>> DecodeBucketFrames(std::string_view body) {
+  MRS_ASSIGN_OR_RETURN(std::vector<BucketFrameView> views,
+                       ParseBucketFrames(body));
+  std::vector<BucketFrame> frames;
+  frames.reserve(views.size());
+  for (const BucketFrameView& v : views) {
+    frames.push_back(BucketFrame{std::string(v.id), std::string(v.checksum),
+                                 std::string(v.data)});
+    // Hash the copy, which is still in cache.
+    const BucketFrame& f = frames.back();
+    MRS_RETURN_IF_ERROR(CheckFrame(f.id, f.checksum, f.data));
+  }
+  return frames;
+}
+
 Result<std::vector<KeyValue>> DecodeBucketBody(std::string_view body) {
   if (StartsWith(body, kBucketFramesFormat)) {
-    MRS_ASSIGN_OR_RETURN(std::vector<BucketFrame> frames,
-                         DecodeBucketFrames(body));
+    MRS_ASSIGN_OR_RETURN(std::vector<BucketFrameView> frames,
+                         DecodeBucketFrameViews(body));
     std::vector<KeyValue> out;
-    for (const BucketFrame& f : frames) {
-      MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> recs,
-                           DecodeBinaryRecords(f.data));
-      out.insert(out.end(), std::make_move_iterator(recs.begin()),
-                 std::make_move_iterator(recs.end()));
+    for (const BucketFrameView& f : frames) {
+      MRS_RETURN_IF_ERROR(AppendBinaryRecords(f.data, &out));
     }
     return out;
   }

@@ -133,10 +133,22 @@ inline constexpr std::string_view kBucketFramesFormat = "mrsk1";
 /// length-prefixed id, checksum, and data.
 std::string EncodeBucketFrames(const std::vector<BucketFrame>& frames);
 
+/// A frame of an encoded frame set, viewing the body it was parsed from.
+struct BucketFrameView {
+  std::string_view id;
+  std::string_view checksum;
+  std::string_view data;
+};
+
 /// Parse and verify an encoded frame set, each frame with the algorithm its
 /// checksum names.  Any truncation, bad magic, frame count the body cannot
 /// hold, or per-frame checksum mismatch is kDataLoss (retryable — the
-/// caller refetches instead of decoding a corrupt body).
+/// caller refetches instead of decoding a corrupt body).  The views stay
+/// valid as long as `body` does.
+Result<std::vector<BucketFrameView>> DecodeBucketFrameViews(
+    std::string_view body);
+
+/// DecodeBucketFrames with each frame copied out of `body`.
 Result<std::vector<BucketFrame>> DecodeBucketFrames(std::string_view body);
 
 /// Decode a bucket body that is either a plain record stream or — when the

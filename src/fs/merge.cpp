@@ -142,13 +142,12 @@ Result<bool> SpillRunSource::Next(KeyValue* out) {
     return false;
   }
   while (true) {
+    // Decode straight into *out; a failed attempt leaves it half written,
+    // and the retry below overwrites both fields.
     ByteReader r(std::string_view(window_).substr(cursor_));
-    Result<Value> key = Value::Deserialize(&r);
-    Result<Value> value =
-        key.ok() ? Value::Deserialize(&r) : Result<Value>(key.status());
-    if (key.ok() && value.ok()) {
-      out->key = std::move(*key);
-      out->value = std::move(*value);
+    Status decoded = Value::DeserializeInto(&r, &out->key);
+    if (decoded.ok()) decoded = Value::DeserializeInto(&r, &out->value);
+    if (decoded.ok()) {
       cursor_ += r.position();
       --records_left_;
       return true;
@@ -156,9 +155,7 @@ Result<bool> SpillRunSource::Next(KeyValue* out) {
     // A record may straddle the buffer boundary: pull more payload and
     // retry.  Only when the payload is exhausted is the failure real.
     if (payload_left_ == 0) {
-      open_status_ = Corrupt("malformed record: " +
-                             (key.ok() ? value.status() : key.status())
-                                 .message());
+      open_status_ = Corrupt("malformed record: " + decoded.message());
       return open_status_;
     }
     MRS_RETURN_IF_ERROR(Refill());
@@ -186,16 +183,18 @@ bool LoserTreeMerger::Beats(int a, int b) const {
   }
   const KeyValue& ka = cur_[static_cast<size_t>(a)];
   const KeyValue& kb = cur_[static_cast<size_t>(b)];
-  if (KeyValueLess(ka, kb)) return true;
-  if (KeyValueLess(kb, ka)) return false;
+  // One three-way comparison: KeyValueLess's order, ties to stability.
+  int c = ka.key.Compare(kb.key);
+  if (c == 0) c = ka.value.Compare(kb.value);
+  if (c != 0) return c < 0;
   return a < b;  // stability: lower source index first
 }
 
 Status LoserTreeMerger::Advance(int s) {
-  KeyValue kv;
-  MRS_ASSIGN_OR_RETURN(bool more, sources_[static_cast<size_t>(s)]->Next(&kv));
+  // The source writes its next record straight into the head slot.
+  MRS_ASSIGN_OR_RETURN(bool more, sources_[static_cast<size_t>(s)]->Next(
+                                      &cur_[static_cast<size_t>(s)]));
   alive_[static_cast<size_t>(s)] = more;
-  if (more) cur_[static_cast<size_t>(s)] = std::move(kv);
   return Status::Ok();
 }
 

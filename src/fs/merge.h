@@ -25,8 +25,9 @@ namespace mrs {
 class MergeSource {
  public:
   virtual ~MergeSource() = default;
-  /// Fill *out with the next record and return true; false when the
-  /// source is exhausted.  Errors (kDataLoss, kNotFound) abort the merge.
+  /// Fill *out with the next record and return true; false, with *out
+  /// untouched, when the source is exhausted.  Errors (kDataLoss,
+  /// kNotFound) abort the merge and may leave *out half written.
   virtual Result<bool> Next(KeyValue* out) = 0;
 };
 

@@ -285,7 +285,7 @@ Result<std::string> ReadSpillRunBytes(const SpillRun& run) {
 
 Result<std::vector<KeyValue>> ReadSpillRun(const SpillRun& run) {
   MRS_ASSIGN_OR_RETURN(std::string raw, ReadSpillRunBytes(run));
-  Result<std::vector<BucketFrame>> frames = DecodeBucketFrames(raw);
+  Result<std::vector<BucketFrameView>> frames = DecodeBucketFrameViews(raw);
   if (!frames.ok()) {
     return DataLossError(RunName(run) + ": " + frames.status().message());
   }
@@ -293,7 +293,7 @@ Result<std::vector<KeyValue>> ReadSpillRun(const SpillRun& run) {
     return DataLossError(RunName(run) + ": expected 1 frame, got " +
                          std::to_string(frames->size()));
   }
-  BucketFrame& frame = (*frames)[0];
+  const BucketFrameView& frame = (*frames)[0];
   if (!run.checksum.empty() && frame.checksum != run.checksum) {
     return DataLossError(RunName(run) +
                          ": frame checksum does not match run metadata "

@@ -50,6 +50,11 @@ BinOp ToBinOp(TokenType type) {
   }
 }
 
+/// Deepest expression nesting Parse accepts: parentheses, call and index
+/// arguments, unary operators and `**` chains each recurse once per level,
+/// so the cap bounds the parser's stack use.
+constexpr int kMaxExpressionDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -87,6 +92,19 @@ class Parser {
   Status ErrorHere(const std::string& message) {
     return InvalidArgumentError("line " + std::to_string(Peek().line) + ": " +
                                 message);
+  }
+
+  /// One level of expression nesting, held for the guard's scope.
+  struct Nesting {
+    explicit Nesting(int* d) : depth(d) { ++*depth; }
+    ~Nesting() { --*depth; }
+    int* depth;
+  };
+
+  Status CheckDepth() {
+    if (depth_ <= kMaxExpressionDepth) return Status::Ok();
+    return ErrorHere("expression nested deeper than " +
+                     std::to_string(kMaxExpressionDepth) + " levels");
   }
 
   Result<std::vector<StmtPtr>> ParseBlock() {
@@ -232,6 +250,8 @@ class Parser {
   }
 
   Result<ExprPtr> ParseExpression(int min_bp) {
+    Nesting level(&depth_);
+    MRS_RETURN_IF_ERROR(CheckDepth());
     MRS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
     while (true) {
       TokenType op = Peek().type;
@@ -256,27 +276,24 @@ class Parser {
   Result<ExprPtr> ParseUnary() {
     int line = Peek().line;
     int col = Peek().column;
+    UnOp op;
     if (Match(TokenType::kMinus)) {
-      MRS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      auto node = std::make_unique<Expr>();
-      node->kind = Expr::Kind::kUnary;
-      node->line = line;
-      node->col = col;
-      node->un_op = UnOp::kNeg;
-      node->lhs = std::move(operand);
-      return node;
+      op = UnOp::kNeg;
+    } else if (Match(TokenType::kNot)) {
+      op = UnOp::kNot;
+    } else {
+      return ParsePostfix();
     }
-    if (Match(TokenType::kNot)) {
-      MRS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      auto node = std::make_unique<Expr>();
-      node->kind = Expr::Kind::kUnary;
-      node->line = line;
-      node->col = col;
-      node->un_op = UnOp::kNot;
-      node->lhs = std::move(operand);
-      return node;
-    }
-    return ParsePostfix();
+    Nesting level(&depth_);
+    MRS_RETURN_IF_ERROR(CheckDepth());
+    MRS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+    auto node = std::make_unique<Expr>();
+    node->kind = Expr::Kind::kUnary;
+    node->line = line;
+    node->col = col;
+    node->un_op = op;
+    node->lhs = std::move(operand);
+    return node;
   }
 
   Result<ExprPtr> ParsePostfix() {
@@ -381,6 +398,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // expression levels open around pos_
 };
 
 }  // namespace

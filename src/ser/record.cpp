@@ -1,5 +1,6 @@
 #include "ser/record.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/bytes.h"
@@ -21,6 +22,12 @@ std::string EncodeBinaryRecords(const std::vector<KeyValue>& records) {
 }
 
 Result<std::vector<KeyValue>> DecodeBinaryRecords(std::string_view data) {
+  std::vector<KeyValue> out;
+  MRS_RETURN_IF_ERROR(AppendBinaryRecords(data, &out));
+  return out;
+}
+
+Status AppendBinaryRecords(std::string_view data, std::vector<KeyValue>* out) {
   if (!StartsWith(data, kBinaryRecordMagic)) {
     return DataLossError("missing binary record magic");
   }
@@ -31,15 +38,17 @@ Result<std::vector<KeyValue>> DecodeBinaryRecords(std::string_view data) {
     return DataLossError("record count " + std::to_string(n) +
                          " exceeds the body");
   }
-  std::vector<KeyValue> out;
-  out.reserve(n);
+  // Grow as push_back would, so appending many streams stays linear.
+  if (out->capacity() - out->size() < n) {
+    out->reserve(out->size() + std::max<size_t>(out->size(), n));
+  }
   for (uint64_t i = 0; i < n; ++i) {
-    MRS_ASSIGN_OR_RETURN(Value key, Value::Deserialize(&r));
-    MRS_ASSIGN_OR_RETURN(Value value, Value::Deserialize(&r));
-    out.push_back(KeyValue{std::move(key), std::move(value)});
+    KeyValue& kv = out->emplace_back();
+    MRS_RETURN_IF_ERROR(Value::DeserializeInto(&r, &kv.key));
+    MRS_RETURN_IF_ERROR(Value::DeserializeInto(&r, &kv.value));
   }
   if (!r.empty()) return DataLossError("trailing bytes after records");
-  return out;
+  return Status::Ok();
 }
 
 std::string EncodeTextRecords(const std::vector<KeyValue>& records) {

@@ -25,6 +25,10 @@ std::string EncodeBinaryRecords(const std::vector<KeyValue>& records);
 /// Parse a complete binary record stream.
 Result<std::vector<KeyValue>> DecodeBinaryRecords(std::string_view data);
 
+/// Parse a complete binary record stream onto the end of *out.  On error
+/// *out may also hold some of the stream's records.
+Status AppendBinaryRecords(std::string_view data, std::vector<KeyValue>* out);
+
 /// Serialize records to the text format.
 std::string EncodeTextRecords(const std::vector<KeyValue>& records);
 

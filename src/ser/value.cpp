@@ -7,19 +7,79 @@
 
 namespace mrs {
 
+void Value::ConstructFrom(const Value& other) {
+  switch (SlotOf(other.type_)) {
+    case Slot::kString: new (&str_) std::string(other.str_); break;
+    case Slot::kList:
+      new (&list_) std::shared_ptr<ValueList>(other.list_);
+      break;
+    case Slot::kScalar:
+      if (other.type_ == Type::kDouble) {
+        double_ = other.double_;
+      } else {
+        int_ = other.int_;
+      }
+      break;
+  }
+}
+
+void Value::ConstructFrom(Value&& other) noexcept {
+  switch (SlotOf(other.type_)) {
+    case Slot::kString: new (&str_) std::string(std::move(other.str_)); break;
+    case Slot::kList:
+      new (&list_) std::shared_ptr<ValueList>(std::move(other.list_));
+      break;
+    case Slot::kScalar: ConstructFrom(static_cast<const Value&>(other)); break;
+  }
+}
+
+void Value::DestroyPayload() noexcept {
+  switch (SlotOf(type_)) {
+    case Slot::kString: str_.~basic_string(); break;
+    case Slot::kList: list_.~shared_ptr(); break;
+    case Slot::kScalar: break;
+  }
+}
+
+Value& Value::MoveAssign(Value&& other) noexcept {
+  if (this != &other) {
+    DestroyPayload();
+    type_ = other.type_;
+    ConstructFrom(std::move(other));
+  }
+  return *this;
+}
+
+Value& Value::operator=(const Value& other) {
+  if (this == &other) return *this;
+  if (SlotOf(type_) == Slot::kString && SlotOf(other.type_) == Slot::kString) {
+    str_ = other.str_;  // reuses this value's buffer
+    type_ = other.type_;
+    return *this;
+  }
+  // Build the new payload before the old one goes: `other` may live
+  // inside this value's own list.
+  Value copy(other);
+  return *this = std::move(copy);
+}
+
+// A mistyped read (asserted in debug builds) gives its type's zero, as it
+// did when a Value held every member at once.
 int64_t Value::AsInt() const {
   assert(type_ == Type::kInt);
-  return int_;
+  return type_ == Type::kInt ? int_ : 0;
 }
 
 double Value::AsDouble() const {
   assert(type_ == Type::kInt || type_ == Type::kDouble);
-  return type_ == Type::kInt ? static_cast<double>(int_) : double_;
+  if (type_ == Type::kInt) return static_cast<double>(int_);
+  return type_ == Type::kDouble ? double_ : 0.0;
 }
 
 const std::string& Value::AsString() const {
   assert(type_ == Type::kString || type_ == Type::kBytes);
-  return str_;
+  static const std::string kEmpty;
+  return SlotOf(type_) == Slot::kString ? str_ : kEmpty;
 }
 
 const ValueList& Value::AsList() const {
@@ -62,8 +122,10 @@ int Value::Compare(const Value& other) const {
       }
       return Cmp(double_, other.double_);
     case Type::kString:
-    case Type::kBytes:
-      return str_ < other.str_ ? -1 : (str_ > other.str_ ? 1 : 0);
+    case Type::kBytes: {
+      int c = str_.compare(other.str_);
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
     case Type::kList: {
       const ValueList& a = *list_;
       const ValueList& b = *other.list_;
@@ -115,29 +177,43 @@ void Value::Serialize(ByteWriter* writer) const {
   }
 }
 
-namespace {
+void Value::Become(Type t) {
+  if (SlotOf(type_) != SlotOf(t)) {
+    DestroyPayload();
+    switch (SlotOf(t)) {
+      case Slot::kString: new (&str_) std::string(); break;
+      case Slot::kList: new (&list_) std::shared_ptr<ValueList>(); break;
+      case Slot::kScalar: int_ = 0; break;
+    }
+  }
+  type_ = t;
+}
 
-Result<Value> DeserializeAt(ByteReader* reader, int depth) {
-  using Type = Value::Type;
+Status Value::ReadFrom(ByteReader* reader, int depth) {
   MRS_ASSIGN_OR_RETURN(uint8_t tag, reader->GetU8());
   switch (static_cast<Type>(tag)) {
     case Type::kNone:
-      return Value();
+      Become(Type::kNone);
+      int_ = 0;
+      return Status::Ok();
     case Type::kInt: {
       MRS_ASSIGN_OR_RETURN(int64_t v, reader->GetVarintSigned());
-      return Value(v);
+      Become(Type::kInt);
+      int_ = v;
+      return Status::Ok();
     }
     case Type::kDouble: {
       MRS_ASSIGN_OR_RETURN(double v, reader->GetDouble());
-      return Value(v);
+      Become(Type::kDouble);
+      double_ = v;
+      return Status::Ok();
     }
-    case Type::kString: {
-      MRS_ASSIGN_OR_RETURN(std::string s, reader->GetLengthPrefixed());
-      return Value(std::move(s));
-    }
+    case Type::kString:
     case Type::kBytes: {
-      MRS_ASSIGN_OR_RETURN(std::string s, reader->GetLengthPrefixed());
-      return Value::BytesValue(std::move(s));
+      MRS_ASSIGN_OR_RETURN(std::string_view s, reader->GetLengthPrefixedView());
+      Become(static_cast<Type>(tag));
+      str_.assign(s);
+      return Status::Ok();
     }
     case Type::kList: {
       if (depth == kMaxValueDepth) {
@@ -153,19 +229,18 @@ Result<Value> DeserializeAt(ByteReader* reader, int depth) {
       ValueList list;
       list.reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
-        MRS_ASSIGN_OR_RETURN(Value v, DeserializeAt(reader, depth + 1));
-        list.push_back(std::move(v));
+        MRS_RETURN_IF_ERROR(list.emplace_back().ReadFrom(reader, depth + 1));
       }
-      return Value(std::move(list));
+      Become(Type::kList);
+      list_ = std::make_shared<ValueList>(std::move(list));
+      return Status::Ok();
     }
   }
   return DataLossError("unknown Value tag: " + std::to_string(tag));
 }
 
-}  // namespace
-
-Result<Value> Value::Deserialize(ByteReader* reader) {
-  return DeserializeAt(reader, 0);
+Status Value::DeserializeInto(ByteReader* reader, Value* out) {
+  return out->ReadFrom(reader, 0);
 }
 
 std::string Value::Repr() const {
@@ -219,8 +294,13 @@ std::string Value::Repr() const {
 }
 
 size_t Value::ApproxMemoryBytes() const {
-  size_t bytes = sizeof(Value) + str_.size();
-  if (list_) {
+  // What the budget charges per value: sizeof(Value) before it became a
+  // tagged union.  Spill points stay where they were; charging the real
+  // size would move them.
+  constexpr size_t kChargedValueBytes = 72;
+  size_t bytes = kChargedValueBytes;
+  if (SlotOf(type_) == Slot::kString) bytes += str_.size();
+  if (type_ == Type::kList && list_) {
     bytes += sizeof(ValueList);
     for (const Value& v : *list_) bytes += v.ApproxMemoryBytes();
   }

@@ -9,8 +9,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -37,7 +39,7 @@ class Value {
     kList = 5,
   };
 
-  Value() : type_(Type::kNone) {}
+  Value() noexcept : type_(Type::kNone), int_(0) {}
   Value(int v) : type_(Type::kInt), int_(v) {}                   // NOLINT
   Value(int64_t v) : type_(Type::kInt), int_(v) {}               // NOLINT
   Value(uint64_t v) : type_(Type::kInt), int_(static_cast<int64_t>(v)) {}  // NOLINT
@@ -48,10 +50,39 @@ class Value {
   Value(ValueList list)                                          // NOLINT
       : type_(Type::kList), list_(std::make_shared<ValueList>(std::move(list))) {}
 
+  // The union's payload is built and destroyed by hand.  A moved-from
+  // value keeps its type; a number keeps its value, and a string or list
+  // may only be assigned to or destroyed.  Sorts and merges move strings
+  // almost only, so the string paths are inline and the rest is not.
+  Value(const Value& other) : type_(other.type_) { ConstructFrom(other); }
+  Value(Value&& other) noexcept : type_(other.type_) {
+    if (SlotOf(type_) == Slot::kString) {
+      new (&str_) std::string(std::move(other.str_));
+    } else {
+      ConstructFrom(std::move(other));
+    }
+  }
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept {
+    if (SlotOf(type_) == Slot::kString &&
+        SlotOf(other.type_) == Slot::kString && this != &other) {
+      str_ = std::move(other.str_);
+      type_ = other.type_;
+      return *this;
+    }
+    return MoveAssign(std::move(other));
+  }
+  ~Value() {
+    if (SlotOf(type_) == Slot::kString) {
+      str_.~basic_string();
+    } else if (type_ == Type::kList) {
+      DestroyPayload();
+    }
+  }
+
   static Value BytesValue(std::string data) {
-    Value v;
+    Value v(std::move(data));
     v.type_ = Type::kBytes;
-    v.str_ = std::move(data);
     return v;
   }
 
@@ -84,11 +115,12 @@ class Value {
   /// hash equally, including int/double values that compare equal.
   uint64_t Hash() const;
 
-  /// Tagged binary encoding.  Deserialize reads peer bytes: a list nested
-  /// deeper than kMaxValueDepth, or a length the remaining bytes cannot
-  /// hold, is kDataLoss.
+  /// Tagged binary encoding.  DeserializeInto reads peer bytes into *out,
+  /// reusing its string buffer: a list nested deeper than kMaxValueDepth,
+  /// or a length the remaining bytes cannot hold, is kDataLoss, and leaves
+  /// *out holding some value of no meaning.
   void Serialize(ByteWriter* writer) const;
-  static Result<Value> Deserialize(ByteReader* reader);
+  static Status DeserializeInto(ByteReader* reader, Value* out);
 
   /// Python-repr-like rendering: None, 42, 3.5, 'text', b'...', [1, 'a'].
   std::string Repr() const;
@@ -99,12 +131,38 @@ class Value {
   size_t ApproxMemoryBytes() const;
 
  private:
+  /// kNone, kInt and kDouble keep a scalar (kNone as int_ = 0), kString
+  /// and kBytes keep str_, kList keeps list_.
+  enum class Slot : uint8_t { kScalar, kString, kList };
+  static Slot SlotOf(Type t) {
+    if (t == Type::kString || t == Type::kBytes) return Slot::kString;
+    return t == Type::kList ? Slot::kList : Slot::kScalar;
+  }
+
+  /// Build the payload of `other` (whose type_ this already has) into the
+  /// union, which holds nothing live.
+  void ConstructFrom(const Value& other);
+  void ConstructFrom(Value&& other) noexcept;
+  void DestroyPayload() noexcept;
+  /// operator=(Value&&) for every pairing but string to string.
+  Value& MoveAssign(Value&& other) noexcept;
+  /// Take type t with an empty payload, keeping the string buffer when
+  /// the slot stays kString.
+  void Become(Type t);
+  Status ReadFrom(ByteReader* reader, int depth);
+
   Type type_;
-  int64_t int_ = 0;
-  double double_ = 0.0;
-  std::string str_;
-  std::shared_ptr<ValueList> list_;  // shared: cheap copies, immutable use
+  union {
+    int64_t int_;
+    double double_;
+    std::string str_;                  // kString and kBytes
+    std::shared_ptr<ValueList> list_;  // shared: cheap copies, immutable use
+  };
 };
+
+// A tag byte beside a std::string (whose inline buffer holds DistSort's
+// 10-byte keys); a record is two of these.
+static_assert(sizeof(Value) <= 40);
 
 /// One record of intermediate or final data.
 struct KeyValue {

@@ -4,6 +4,7 @@
 // CPython/PyPy stand-ins and must agree exactly.
 #include <gtest/gtest.h>
 
+#include "analysis/analysis.h"
 #include "interp/compiler.h"
 #include "interp/lexer.h"
 #include "interp/parser.h"
@@ -113,6 +114,48 @@ TEST(Parser, RejectsSyntaxErrors) {
 
 TEST(Parser, RejectsEmptyBlock) {
   EXPECT_FALSE(Parse("if x:\npass\n").ok());
+}
+
+// Each of these once overflowed the stack: the parser recursed once per
+// level.  Past its depth cap each is a parse error naming the line, both
+// from Parse and from the submit-time gate.
+TEST(Parser, NestingPastTheDepthCapIsAnErrorNotACrash) {
+  constexpr int kLevels = 100000;
+  std::string power = "x = 1";
+  for (int i = 0; i < kLevels; ++i) power += "**1";
+  const std::vector<std::string> sources = {
+      "x = " + std::string(kLevels, '('),
+      "x = " + std::string(kLevels, '-') + "1\n",
+      power + "\n",
+  };
+  for (const std::string& source : sources) {
+    Result<std::shared_ptr<Module>> parsed = Parse(source);
+    ASSERT_FALSE(parsed.ok()) << source.substr(0, 12);
+    EXPECT_NE(parsed.status().message().find("line 1: expression nested"),
+              std::string::npos)
+        << parsed.status().ToString();
+    analysis::AnalysisResult analyzed = analysis::AnalyzeKernelSource(source);
+    EXPECT_FALSE(analyzed.ok());
+    ASSERT_FALSE(analyzed.diagnostics.empty());
+    EXPECT_EQ(analyzed.diagnostics[0].severity, analysis::Severity::kError);
+    EXPECT_EQ(analyzed.diagnostics[0].span.line, 1);
+  }
+}
+
+TEST(Parser, HundredDeepExpressionsStillParse) {
+  std::string power = "x = 1";
+  for (int i = 0; i < 100; ++i) power += "**1";
+  const std::vector<std::string> sources = {
+      "x = " + std::string(100, '(') + "1" + std::string(100, ')') + "\n",
+      "x = " + std::string(100, '-') + "1\n",
+      "x = " + std::string(50, '-') + std::string(50, '(') + "not 1" +
+          std::string(50, ')') + "\n",
+      power + "\n",
+  };
+  for (const std::string& source : sources) {
+    Result<std::shared_ptr<Module>> parsed = Parse(source);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  }
 }
 
 // ---- Engine equivalence (parameterized program corpus) -----------------------

@@ -45,9 +45,10 @@ TEST_P(ValueRoundTrip, BinarySerializeDeserialize) {
   ByteWriter w(&buf);
   v.Serialize(&w);
   ByteReader r(buf);
-  Result<Value> out = Value::Deserialize(&r);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(*out, v);
+  Value out;
+  Status status = Value::DeserializeInto(&r, &out);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(out, v);
   EXPECT_TRUE(r.empty());
 }
 
@@ -64,7 +65,8 @@ TEST_P(ValueRoundTrip, HashConsistentWithEquality) {
   ByteWriter w(&buf);
   v.Serialize(&w);
   ByteReader r(buf);
-  Value copy = Value::Deserialize(&r).value();
+  Value copy;
+  ASSERT_TRUE(Value::DeserializeInto(&r, &copy).ok());
   EXPECT_EQ(v.Hash(), copy.Hash());
 }
 
@@ -154,6 +156,236 @@ TEST(ParseRepr, RejectsGarbage) {
   EXPECT_FALSE(ParseRepr("[1, 2").ok());
   EXPECT_FALSE(ParseRepr("1 2").ok());
   EXPECT_FALSE(ParseRepr("12abc").ok());
+}
+
+// ---- The tagged union's ownership rules ----------------------------------
+
+static_assert(sizeof(KeyValue) <= 80);
+
+/// One value of each of the six types, plus a string too long for
+/// std::string's inline buffer.
+std::vector<Value> OneOfEachType() {
+  return {
+      Value(),
+      Value(int64_t{-1234567890123}),
+      Value(6.25),
+      Value(std::string("tab\there'q")),
+      Bytes_(std::string("\x00\x01\xff", 3)),
+      Value(ValueList{Value(int64_t{1}), Value("a"), Value(ValueList{}),
+                      Value(2.0)}),
+      Value(std::string(90, 'v')),
+  };
+}
+
+TEST(ValueOwnership, CopyAndMoveConstructEveryType) {
+  for (const Value& v : OneOfEachType()) {
+    Value copy(v);
+    EXPECT_EQ(copy.type(), v.type());
+    EXPECT_EQ(copy, v) << v.Repr();
+    Value source(v);
+    Value moved(std::move(source));
+    EXPECT_EQ(moved.type(), v.type());
+    EXPECT_EQ(moved, v) << v.Repr();
+  }
+}
+
+TEST(ValueOwnership, CopyAndMoveAssignBetweenEveryPairOfTypes) {
+  const std::vector<Value> values = OneOfEachType();
+  for (const Value& from : values) {
+    for (const Value& to : values) {
+      Value copied(to);
+      const Value source(from);
+      copied = source;
+      EXPECT_EQ(copied.type(), from.type());
+      EXPECT_EQ(copied.Repr(), from.Repr()) << "over " << to.Repr();
+      EXPECT_EQ(source.Repr(), from.Repr()) << "copy source changed";
+
+      Value moved(to);
+      Value donor(from);
+      moved = std::move(donor);
+      EXPECT_EQ(moved.type(), from.type());
+      EXPECT_EQ(moved.Repr(), from.Repr()) << "over " << to.Repr();
+    }
+  }
+}
+
+TEST(ValueOwnership, SelfAssignmentKeepsTheValue) {
+  for (const Value& v : OneOfEachType()) {
+    Value a(v);
+    const Value& same = a;
+    a = same;
+    EXPECT_EQ(a.Repr(), v.Repr());
+    Value& alias = a;
+    a = std::move(alias);
+    EXPECT_EQ(a.Repr(), v.Repr());
+  }
+}
+
+TEST(ValueOwnership, AssigningAnElementOfTheValuesOwnListIsSafe) {
+  // Copy assignment builds the new payload before it drops the old one,
+  // which here owns the source.
+  Value v(ValueList{Value(std::string(90, 'e')), Value(int64_t{2})});
+  v = v.AsList()[0];
+  EXPECT_EQ(v, Value(std::string(90, 'e')));
+
+  Value nested(ValueList{Value(ValueList{Value("inner")})});
+  nested = nested.AsList()[0];
+  EXPECT_EQ(nested, Value(ValueList{Value("inner")}));
+  nested = nested.AsList()[0];
+  EXPECT_EQ(nested, Value("inner"));
+}
+
+TEST(ValueOwnership, MovedFromValuesKeepTheirTypeAndTakeAnyNewValue) {
+  const std::vector<Value> values = OneOfEachType();
+  for (const Value& from : values) {
+    for (const Value& next : values) {
+      Value source(from);
+      Value sink(std::move(source));
+      EXPECT_EQ(source.type(), from.type());
+      if (from.is_none() || from.is_numeric()) {
+        EXPECT_EQ(source, from);
+      }
+      source = next;
+      EXPECT_EQ(source.Repr(), next.Repr());
+
+      Value again(from);
+      Value sink2(std::move(again));
+      again = Value(next);
+      EXPECT_EQ(again.Repr(), next.Repr());
+    }
+  }
+}
+
+TEST(ValueOwnership, CopiesShareOneImmutableList) {
+  Value a(ValueList{Value(int64_t{1}), Value("two"), Value(3.0)});
+  const ValueList* storage = &a.AsList();
+  Value b(a);
+  Value c;
+  c = a;
+  EXPECT_EQ(&b.AsList(), storage);
+  EXPECT_EQ(&c.AsList(), storage);
+  a = Value("replaced");  // the other holders keep the list alive
+  EXPECT_EQ(&b.AsList(), storage);
+  ASSERT_EQ(b.AsList().size(), 3u);
+  EXPECT_EQ(b.AsList()[1], Value("two"));
+  Value d(std::move(b));
+  EXPECT_EQ(&d.AsList(), storage);
+  EXPECT_EQ(d, c);
+}
+
+TEST(ValueOwnership, DeserializeIntoOverwritesADestinationOfEveryType) {
+  const std::vector<Value> values = OneOfEachType();
+  for (const Value& encoded : values) {
+    Bytes buf;
+    ByteWriter w(&buf);
+    encoded.Serialize(&w);
+    for (const Value& before : values) {
+      Value out(before);
+      ByteReader r(buf);
+      Status status = Value::DeserializeInto(&r, &out);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(out.type(), encoded.type());
+      EXPECT_EQ(out.Repr(), encoded.Repr()) << "into " << before.Repr();
+    }
+  }
+}
+
+TEST(ValueOwnership, DeserializeIntoReusesTheDestinationsStringBuffer) {
+  Bytes buf;
+  ByteWriter w(&buf);
+  Value(std::string(40, 'n')).Serialize(&w);
+  Bytes_(std::string(20, 'b')).Serialize(&w);
+  Value out(std::string(90, 'o'));
+  const char* storage = out.AsString().data();
+  ByteReader r(buf);
+  ASSERT_TRUE(Value::DeserializeInto(&r, &out).ok());
+  EXPECT_EQ(out, Value(std::string(40, 'n')));
+  EXPECT_EQ(out.AsString().data(), storage);
+  ASSERT_TRUE(Value::DeserializeInto(&r, &out).ok());
+  EXPECT_EQ(out, Bytes_(std::string(20, 'b')));
+  EXPECT_EQ(out.AsString().data(), storage);
+}
+
+TEST(ValueOwnership, FailedDeserializeIntoLeavesAUsableValue) {
+  Bytes buf;
+  ByteWriter w(&buf);
+  Value(ValueList{Value(std::string(90, 'x')), Value(int64_t{1})})
+      .Serialize(&w);
+  for (size_t cut = 0; cut < buf.size(); ++cut) {
+    for (const Value& before : OneOfEachType()) {
+      Value out(before);
+      ByteReader r(buf.data(), cut);
+      EXPECT_EQ(Value::DeserializeInto(&r, &out).code(),
+                StatusCode::kDataLoss);
+      out = Value("usable");  // assignable and destructible
+      EXPECT_EQ(out, Value("usable"));
+    }
+  }
+}
+
+// ---- Results pinned at the untagged layout --------------------------------
+//
+// Captured from the layout that held every member side by side (72
+// bytes).  Serialize feeds the wire and the partitioner, Hash routes keys,
+// Repr is the text output and Compare the sort order, so none may move.
+
+struct Pinned {
+  std::string serialized;
+  uint64_t hash;
+  std::string repr;
+};
+
+TEST(ValueGolden, SerializeHashAndReprOfEachType) {
+  const std::vector<Pinned> pinned = {
+      {std::string("\x00", 1), 0xaf63bd4c8601b7dfull, "None"},
+      {"\x01\x95\x93\xd8\x9f\xee\x47", 0xff444ea91e1ed8faull,
+       "-1234567890123"},
+      {std::string("\x02\x00\x00\x00\x00\x00\x00\x19\x40", 9),
+       0x0c8476f54d7e53a4ull, "6.25"},
+      {"\x03\x0a" "tab\there'q", 0xf93063d725ce68a0ull, "'tab\\there\\'q'"},
+      {std::string("\x04\x03\x00\x01\xff", 5), 0xd2145e162d504e14ull,
+       "b'\\x00\\x01\xff'"},
+      {std::string("\x05\x04\x01\x02\x03\x01" "a" "\x05\x00\x02"
+                   "\x00\x00\x00\x00\x00\x00\x00\x40", 18),
+       0x0af39c065f4e14efull, "[1, 'a', [], 2.0]"},
+  };
+  const std::vector<Value> values = OneOfEachType();
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    Bytes buf;
+    ByteWriter w(&buf);
+    values[i].Serialize(&w);
+    EXPECT_EQ(std::string(buf.begin(), buf.end()), pinned[i].serialized)
+        << i;
+    EXPECT_EQ(values[i].Hash(), pinned[i].hash) << i;
+    EXPECT_EQ(values[i].Repr(), pinned[i].repr) << i;
+  }
+}
+
+TEST(ValueGolden, PairwiseCompareOfEachType) {
+  // None < int < double (numerically here) < string < bytes < list.
+  const int expected[6][6] = {
+      {0, -1, -1, -1, -1, -1}, {1, 0, -1, -1, -1, -1},
+      {1, 1, 0, -1, -1, -1},   {1, 1, 1, 0, -1, -1},
+      {1, 1, 1, 1, 0, -1},     {1, 1, 1, 1, 1, 0},
+  };
+  const std::vector<Value> values = OneOfEachType();
+  for (size_t i = 0; i < 6; ++i) {
+    for (size_t j = 0; j < 6; ++j) {
+      EXPECT_EQ(values[i].Compare(values[j]), expected[i][j]) << i << "," << j;
+    }
+  }
+}
+
+TEST(ValueGolden, BudgetChargeStaysAtTheUntaggedLayout) {
+  // The memory budget charges 72 bytes a value, whatever sizeof(Value)
+  // is, so spill decisions do not move with the layout.
+  const KeyValue distsort{Value(std::string(10, 'k')),
+                          Value(std::string(90, 'v'))};
+  EXPECT_EQ(ApproxMemoryBytes(distsort), 244u);
+  const std::vector<Value> values = OneOfEachType();
+  EXPECT_EQ(values[0].ApproxMemoryBytes(), 72u);
+  EXPECT_EQ(values[3].ApproxMemoryBytes(), 82u);
+  EXPECT_EQ(values[5].ApproxMemoryBytes(), 409u);
 }
 
 // ---- Record streams ----------------------------------------------------------

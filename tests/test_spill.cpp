@@ -669,6 +669,72 @@ TEST_F(SpillFaultTest, TruncatedRunIsDataLossNotPartialData) {
   }
 }
 
+// SpillRunSource decodes each record straight into the caller's KeyValue.
+// With a 4 KiB window, the records below put the end of the first key at
+// the window's last byte (or a few bytes before it), so the key is decoded
+// into the destination before the value's read runs out of window.
+//   payload: "mrsb1\n" (6) + count (1) + key tag (1) + key length (2) + key
+constexpr size_t kRefillWindow = 4096;
+constexpr size_t kKeyEndsAtTheWindow = kRefillWindow - 10;
+
+std::vector<KeyValue> RecordsStraddlingTheWindow(size_t key_len) {
+  return {
+      {Value(std::string(key_len, 'k')), Value(std::string(90, 'v'))},
+      {Value("next"), Value(ValueList{Value(int64_t{1}), Value("x")})},
+  };
+}
+
+TEST_F(SpillFaultTest, ValueCrossingTheRefillBoundaryAfterItsKeyDecodes) {
+  for (size_t gap : {size_t{0}, size_t{1}, size_t{2}, size_t{50}}) {
+    const std::vector<KeyValue> records =
+        RecordsStraddlingTheWindow(kKeyEndsAtTheWindow - gap);
+    const std::string payload = EncodeBinaryRecords(records);
+    ASSERT_EQ(payload.find('v'), kRefillWindow - gap + 2) << gap;
+    auto run = WriteSpillRun(Path("straddle" + std::to_string(gap)),
+                             "boundary/" + std::to_string(gap), records,
+                             /*sorted=*/false);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    SpillRunSource source(*run, kRefillWindow);
+    // A destination of other types: a stale field would show.
+    KeyValue kv{Value(ValueList{Value(3.5)}), Value(int64_t{9})};
+    std::vector<KeyValue> streamed;
+    while (true) {
+      Result<bool> more = source.Next(&kv);
+      ASSERT_TRUE(more.ok()) << "gap=" << gap << ": "
+                             << more.status().ToString();
+      if (!*more) break;
+      streamed.push_back(kv);
+    }
+    EXPECT_TRUE(streamed == records) << "gap=" << gap;
+  }
+}
+
+TEST_F(SpillFaultTest, RunCutJustAfterAKeyAtTheRefillBoundaryIsDataLoss) {
+  const std::vector<KeyValue> records =
+      RecordsStraddlingTheWindow(kKeyEndsAtTheWindow);
+  const std::string payload = EncodeBinaryRecords(records);
+  const std::string cut = payload.substr(0, kRefillWindow);
+  ASSERT_EQ(cut.back(), 'k');
+  // A file cut there fails the checksum pass before any record.
+  auto whole = WriteSpillRun(Path("cut_file.mrsk"), "boundary/file", records,
+                             /*sorted=*/false);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  auto raw = ReadFileToString(whole->path);
+  ASSERT_TRUE(raw.ok());
+  const size_t header = raw->size() - payload.size();
+  ASSERT_TRUE(
+      WriteFileAtomic(whole->path, raw->substr(0, header + cut.size())).ok());
+  ExpectFault(*whole, StatusCode::kDataLoss);
+  // A frame whose checksum covers the cut payload passes that pass; the
+  // record decoder itself must then refuse the half record.
+  auto framed = WriteEncodedSpillRun(Path("cut_frame.mrsk"), "boundary/frame",
+                                     cut, ContentChecksum(cut),
+                                     /*sorted=*/false);
+  ASSERT_TRUE(framed.ok()) << framed.status().ToString();
+  EXPECT_EQ(framed->records, records.size());
+  ExpectFault(*framed, StatusCode::kDataLoss);
+}
+
 TEST_F(SpillFaultTest, BitFlippedRunIsDataLoss) {
   SpillRun run = MakeRun("flip.mrsk");
   auto raw = ReadFileToString(run.path);
