@@ -26,8 +26,8 @@ enum class Shape { kIntValue, kDistSort };
 std::string RandomText(MT19937_64* rng, int n) {
   static constexpr char kAlphabet[] =
       "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
-  std::string s;
-  for (int i = 0; i < n; ++i) s.push_back(kAlphabet[rng->NextBounded(62)]);
+  std::string s(static_cast<size_t>(n), '\0');
+  for (char& c : s) c = kAlphabet[rng->NextBounded(62)];
   return s;
 }
 
@@ -251,6 +251,37 @@ void BM_MT19937_64(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MT19937_64);
+
+/// DistSort's draw, bound 62: as the compile-time constant RandomText
+/// passes, and as a run-time value the compiler cannot fold.
+enum class Bound { kConstant, kRuntime };
+
+template <Bound kBound>
+void BM_NextBounded(benchmark::State& state) {
+  MT19937_64 rng(42);
+  const uint64_t bound = static_cast<uint64_t>(state.range(0));
+  for (auto _ : state) {
+    if constexpr (kBound == Bound::kConstant) {
+      benchmark::DoNotOptimize(rng.NextBounded(62));
+    } else {
+      benchmark::DoNotOptimize(rng.NextBounded(bound));
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_NextBounded, Bound::kConstant)->Arg(62);
+BENCHMARK_TEMPLATE(BM_NextBounded, Bound::kRuntime)->Arg(62);
+
+/// One DistSort record's text: a 10-byte key and a 90-byte value.
+void BM_DistSortRecordText(benchmark::State& state) {
+  MT19937_64 rng(42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RandomText(&rng, 10));
+    benchmark::DoNotOptimize(RandomText(&rng, 90));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DistSortRecordText);
 
 }  // namespace
 }  // namespace mrs

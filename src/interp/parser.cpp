@@ -1,5 +1,7 @@
 #include "interp/parser.h"
 
+#include <algorithm>
+
 #include "interp/lexer.h"
 
 namespace mrs {
@@ -52,7 +54,9 @@ BinOp ToBinOp(TokenType type) {
 
 /// Deepest expression nesting Parse accepts: parentheses, call and index
 /// arguments, unary operators and `**` chains each recurse once per level,
-/// so the cap bounds the parser's stack use.
+/// and each operator a left-associative chain folds sinks the tree built so
+/// far one level.  So the cap bounds both the parser's stack and the height
+/// of the tree it returns, which later passes walk recursively.
 constexpr int kMaxExpressionDepth = 256;
 
 class Parser {
@@ -102,7 +106,8 @@ class Parser {
   };
 
   Status CheckDepth() {
-    if (depth_ <= kMaxExpressionDepth) return Status::Ok();
+    peak_ = std::max(peak_, depth_);
+    if (peak_ <= kMaxExpressionDepth) return Status::Ok();
     return ErrorHere("expression nested deeper than " +
                      std::to_string(kMaxExpressionDepth) + " levels");
   }
@@ -251,6 +256,11 @@ class Parser {
 
   Result<ExprPtr> ParseExpression(int min_bp) {
     Nesting level(&depth_);
+    // The chain tracks the deepest level of its own tree, and hands it to
+    // the enclosing chain on return: the loop below folds without
+    // recursing, but each fold sinks everything built so far.
+    const int outer_peak = peak_;
+    peak_ = depth_;
     MRS_RETURN_IF_ERROR(CheckDepth());
     MRS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
     while (true) {
@@ -258,6 +268,8 @@ class Parser {
       int bp = BindingPower(op);
       if (bp < 0 || bp < min_bp) break;
       Advance();
+      ++peak_;
+      MRS_RETURN_IF_ERROR(CheckDepth());
       // Right associativity for **; left for everything else.
       int next_bp = (op == TokenType::kStarStar) ? bp : bp + 1;
       MRS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseExpression(next_bp));
@@ -270,6 +282,7 @@ class Parser {
       node->rhs = std::move(rhs);
       lhs = std::move(node);
     }
+    peak_ = std::max(peak_, outer_peak);
     return lhs;
   }
 
@@ -399,6 +412,7 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   int depth_ = 0;  // expression levels open around pos_
+  int peak_ = 0;   // deepest level of the current chain's tree so far
 };
 
 }  // namespace

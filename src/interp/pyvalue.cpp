@@ -111,7 +111,7 @@ Result<PyValue> ApplyBinary(BinOp op, const PyValue& a, const PyValue& b) {
     case BinOp::kAdd:
       if (a.is_numeric() && b.is_numeric()) {
         if (a.is_float() || b.is_float()) return PyValue(a.AsFloat() + b.AsFloat());
-        return PyValue(a.AsInt() + b.AsInt());
+        return PyValue(PyAddInt(a.AsInt(), b.AsInt()));
       }
       if (a.is_string() && b.is_string()) return PyValue(a.AsString() + b.AsString());
       if (a.is_list() && b.is_list()) {
@@ -123,13 +123,13 @@ Result<PyValue> ApplyBinary(BinOp op, const PyValue& a, const PyValue& b) {
     case BinOp::kSub:
       if (a.is_numeric() && b.is_numeric()) {
         if (a.is_float() || b.is_float()) return PyValue(a.AsFloat() - b.AsFloat());
-        return PyValue(a.AsInt() - b.AsInt());
+        return PyValue(PySubInt(a.AsInt(), b.AsInt()));
       }
       return TypeError("-", a, b);
     case BinOp::kMul:
       if (a.is_numeric() && b.is_numeric()) {
         if (a.is_float() || b.is_float()) return PyValue(a.AsFloat() * b.AsFloat());
-        return PyValue(a.AsInt() * b.AsInt());
+        return PyValue(PyMulInt(a.AsInt(), b.AsInt()));
       }
       return TypeError("*", a, b);
     case BinOp::kDiv:
@@ -165,8 +165,8 @@ Result<PyValue> ApplyBinary(BinOp op, const PyValue& a, const PyValue& b) {
           int64_t exp = b.AsInt();
           int64_t out = 1;
           while (exp > 0) {
-            if (exp & 1) out *= base;
-            base *= base;
+            if (exp & 1) out = PyMulInt(out, base);
+            base = PyMulInt(base, base);
             exp >>= 1;
           }
           return PyValue(out);
@@ -208,7 +208,7 @@ Result<PyValue> ApplyBinary(BinOp op, const PyValue& a, const PyValue& b) {
 Result<PyValue> ApplyUnary(UnOp op, const PyValue& v) {
   if (op == UnOp::kNot) return PyValue::Bool(!v.AsBool());
   // kNeg
-  if (v.is_int() || v.is_bool()) return PyValue(-v.AsInt());
+  if (v.is_int() || v.is_bool()) return PyValue(PyNegInt(v.AsInt()));
   if (v.is_float()) return PyValue(-v.AsFloat());
   return InvalidArgumentError("bad operand type for unary -: " +
                               std::string(v.TypeName()));
@@ -247,7 +247,7 @@ Result<PyValue> CallBuiltin(const std::string& name,
     MRS_RETURN_IF_ERROR(arity(1));
     if (args[0].is_int() || args[0].is_bool()) {
       int64_t v = args[0].AsInt();
-      return PyValue(v < 0 ? -v : v);
+      return PyValue(v < 0 ? PyNegInt(v) : v);
     }
     if (args[0].is_float()) return PyValue(std::fabs(args[0].AsFloat()));
     return InvalidArgumentError("bad operand for abs()");
@@ -310,11 +310,17 @@ Result<PyValue> CallBuiltin(const std::string& name,
     } else {
       return InvalidArgumentError("range() takes 1-3 arguments");
     }
+    // Stop at the last element instead of stepping past it, so no step
+    // leaves int64: `left` is the exact distance to `stop` as unsigned.
+    const uint64_t stride = step > 0 ? static_cast<uint64_t>(step)
+                                     : 0 - static_cast<uint64_t>(step);
     PyList out;
-    if (step > 0) {
-      for (int64_t i = start; i < stop; i += step) out.push_back(PyValue(i));
-    } else {
-      for (int64_t i = start; i > stop; i += step) out.push_back(PyValue(i));
+    for (int64_t i = start; step > 0 ? i < stop : i > stop; i += step) {
+      out.push_back(PyValue(i));
+      const uint64_t left =
+          step > 0 ? static_cast<uint64_t>(stop) - static_cast<uint64_t>(i)
+                   : static_cast<uint64_t>(i) - static_cast<uint64_t>(stop);
+      if (left <= stride) break;
     }
     return PyValue(std::move(out));
   }

@@ -88,13 +88,29 @@ Result<PyValue> CallBuiltin(const std::string& name,
                             std::vector<PyValue>& args);
 bool IsBuiltin(const std::string& name);
 
-// Exact integer semantics shared by ApplyBinary and the typed tier, the
-// only places any engine divides ints (Python floor division and
-// sign-of-divisor modulo; callers reject b == 0).  INT64_MIN // -1, the
-// one quotient that overflows, wraps as in two's complement (INT64_MIN,
-// remainder 0) instead of trapping.
+// Exact integer semantics shared by ApplyBinary, the builtins and the
+// typed tier, the only places any engine does int arithmetic.  Every
+// result wraps as in two's complement (modulo 2^64), so a kernel that
+// overflows gets one defined answer on every engine: INT64_MAX + 1 and
+// -INT64_MIN are INT64_MIN.
+inline int64_t PyAddInt(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t PySubInt(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t PyMulInt(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+inline int64_t PyNegInt(int64_t a) { return PySubInt(0, a); }
+// Python floor division and sign-of-divisor modulo (callers reject
+// b == 0).  INT64_MIN // -1, the one quotient that overflows, wraps
+// (INT64_MIN, remainder 0) instead of trapping.
 inline int64_t PyFloorDivInt(int64_t a, int64_t b) {
-  if (b == -1) return static_cast<int64_t>(0 - static_cast<uint64_t>(a));
+  if (b == -1) return PyNegInt(a);
   int64_t q = a / b;
   if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
   return q;

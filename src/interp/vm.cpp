@@ -282,9 +282,18 @@ Status Vm::RunTypedFunction(const TypedFunction& tfn, Slot* frame,
   }
   NEXT();
 
-  OP(kAddI) { frame[ins->a].i = frame[ins->b].i + frame[ins->c].i; } NEXT();
-  OP(kSubI) { frame[ins->a].i = frame[ins->b].i - frame[ins->c].i; } NEXT();
-  OP(kMulI) { frame[ins->a].i = frame[ins->b].i * frame[ins->c].i; } NEXT();
+  OP(kAddI) {
+    frame[ins->a].i = PyAddInt(frame[ins->b].i, frame[ins->c].i);
+  }
+  NEXT();
+  OP(kSubI) {
+    frame[ins->a].i = PySubInt(frame[ins->b].i, frame[ins->c].i);
+  }
+  NEXT();
+  OP(kMulI) {
+    frame[ins->a].i = PyMulInt(frame[ins->b].i, frame[ins->c].i);
+  }
+  NEXT();
   OP(kFloorDivI) {
     const int64_t y = frame[ins->c].i;
     if (y == 0) return runtime_error("division by zero");
@@ -326,9 +335,18 @@ Status Vm::RunTypedFunction(const TypedFunction& tfn, Slot* frame,
   }
   NEXT();
 
-  OP(kAddIC) { frame[ins->a].i = frame[ins->b].i + ins->imm.i; } NEXT();
-  OP(kSubIC) { frame[ins->a].i = frame[ins->b].i - ins->imm.i; } NEXT();
-  OP(kMulIC) { frame[ins->a].i = frame[ins->b].i * ins->imm.i; } NEXT();
+  OP(kAddIC) {
+    frame[ins->a].i = PyAddInt(frame[ins->b].i, ins->imm.i);
+  }
+  NEXT();
+  OP(kSubIC) {
+    frame[ins->a].i = PySubInt(frame[ins->b].i, ins->imm.i);
+  }
+  NEXT();
+  OP(kMulIC) {
+    frame[ins->a].i = PyMulInt(frame[ins->b].i, ins->imm.i);
+  }
+  NEXT();
   OP(kFloorDivIC) {
     frame[ins->a].i = PyFloorDivInt(frame[ins->b].i, ins->imm.i);
   }
@@ -340,7 +358,10 @@ Status Vm::RunTypedFunction(const TypedFunction& tfn, Slot* frame,
                       static_cast<double>(ins->imm.i);
   }
   NEXT();
-  OP(kRSubIC) { frame[ins->a].i = ins->imm.i - frame[ins->b].i; } NEXT();
+  OP(kRSubIC) {
+    frame[ins->a].i = PySubInt(ins->imm.i, frame[ins->b].i);
+  }
+  NEXT();
   OP(kAddFC) { frame[ins->a].d = frame[ins->b].d + ins->imm.d; } NEXT();
   OP(kSubFC) { frame[ins->a].d = frame[ins->b].d - ins->imm.d; } NEXT();
   OP(kMulFC) { frame[ins->a].d = frame[ins->b].d * ins->imm.d; } NEXT();
@@ -353,7 +374,7 @@ Status Vm::RunTypedFunction(const TypedFunction& tfn, Slot* frame,
   }
   NEXT();
 
-  OP(kNegI) { frame[ins->a].i = -frame[ins->b].i; } NEXT();
+  OP(kNegI) { frame[ins->a].i = PyNegInt(frame[ins->b].i); } NEXT();
   OP(kNegF) { frame[ins->a].d = -frame[ins->b].d; } NEXT();
   OP(kNotI) { frame[ins->a].i = frame[ins->b].i == 0 ? 1 : 0; } NEXT();
   OP(kNotF) { frame[ins->a].i = frame[ins->b].d == 0.0 ? 1 : 0; } NEXT();

@@ -10,6 +10,21 @@ constexpr int kMM = 156;
 constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ull;
 constexpr uint64_t kUpperMask = 0xFFFFFFFF80000000ull;  // most significant 33 bits
 constexpr uint64_t kLowerMask = 0x7FFFFFFFull;          // least significant 31 bits
+
+uint64_t Temper(uint64_t x) {
+  x ^= (x >> 29) & 0x5555555555555555ull;
+  x ^= (x << 17) & 0x71D67FFFEDA60000ull;
+  x ^= (x << 37) & 0xFFF7EEE000000000ull;
+  return x ^ (x >> 43);
+}
+
+/// One step of the recurrence: the new word from words i, i+1 and i+MM.
+/// `-(x & 1)` is all ones for odd x, so the mask picks kMatrixA unbranched.
+uint64_t Twist(uint64_t upper, uint64_t lower, uint64_t far) {
+  const uint64_t x = (upper & kUpperMask) | (lower & kLowerMask);
+  return far ^ (x >> 1) ^ (-(x & 1) & kMatrixA);
+}
+
 }  // namespace
 
 void MT19937_64::SeedScalar(uint64_t seed) {
@@ -18,7 +33,7 @@ void MT19937_64::SeedScalar(uint64_t seed) {
     mt_[i] = 6364136223846793005ull * (mt_[i - 1] ^ (mt_[i - 1] >> 62)) +
              static_cast<uint64_t>(i);
   }
-  mti_ = kNN;
+  pos_ = kNN;
   has_gauss_ = false;
 }
 
@@ -49,36 +64,22 @@ void MT19937_64::SeedByArray(std::span<const uint64_t> keys) {
     }
   }
   mt_[0] = 1ull << 63;  // MSB is 1, assuring a non-zero initial array
-  mti_ = kNN;
+  pos_ = kNN;
   has_gauss_ = false;
 }
 
-void MT19937_64::Twist() {
-  for (int i = 0; i < kNN; ++i) {
-    uint64_t x = (mt_[i] & kUpperMask) | (mt_[(i + 1) % kNN] & kLowerMask);
-    mt_[i] = mt_[(i + kMM) % kNN] ^ (x >> 1) ^ ((x & 1) ? kMatrixA : 0ull);
+void MT19937_64::Refill() {
+  // Three ranges, as in the reference mt19937-64.c, so no index wraps: the
+  // word MM ahead is still old below NN-MM and already new above it, and
+  // the last word pairs with the new word 0.
+  int i = 0;
+  for (; i < kNN - kMM; ++i) mt_[i] = Twist(mt_[i], mt_[i + 1], mt_[i + kMM]);
+  for (; i < kNN - 1; ++i) {
+    mt_[i] = Twist(mt_[i], mt_[i + 1], mt_[i + kMM - kNN]);
   }
-  mti_ = 0;
-}
-
-uint64_t MT19937_64::NextU64() {
-  if (mti_ >= kNN) Twist();
-  uint64_t x = mt_[mti_++];
-  x ^= (x >> 29) & 0x5555555555555555ull;
-  x ^= (x << 17) & 0x71D67FFFEDA60000ull;
-  x ^= (x << 37) & 0xFFF7EEE000000000ull;
-  x ^= x >> 43;
-  return x;
-}
-
-uint64_t MT19937_64::NextBounded(uint64_t bound) {
-  if (bound <= 1) return 0;
-  // Rejection sampling over the top `bound`-aligned range.
-  uint64_t threshold = (~bound + 1) % bound;  // = 2^64 mod bound
-  while (true) {
-    uint64_t r = NextU64();
-    if (r >= threshold) return r % bound;
-  }
+  mt_[kNN - 1] = Twist(mt_[kNN - 1], mt_[0], mt_[kMM - 1]);
+  for (i = 0; i < kNN; ++i) out_[i] = Temper(mt_[i]);
+  pos_ = 0;
 }
 
 double MT19937_64::NextGaussian() {

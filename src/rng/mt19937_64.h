@@ -7,6 +7,10 @@
 // Twister's internal state is 312×64 bits, around 300 distinct 64-bit
 // arguments can be absorbed losslessly by array seeding, which is exactly
 // the mechanism reproduced here (see rng/streams.h).
+//
+// Draws come a block at a time: `Refill` advances all 312 state words and
+// tempers them into `out_` in one pass, so a draw is one load.  The words
+// drawn are the reference generator's, in its order.
 #pragma once
 
 #include <array>
@@ -31,13 +35,25 @@ class MT19937_64 {
   void SeedByArray(std::span<const uint64_t> keys);
 
   /// Next uniform 64-bit integer.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    if (pos_ >= kStateSize) Refill();
+    return out_[pos_++];
+  }
 
   /// Uniform double in [0, 1) with 53-bit resolution (genrand64_real2).
   double NextDouble() { return static_cast<double>(NextU64() >> 11) * (1.0 / 9007199254740992.0); }
 
   /// Uniform integer in [0, bound) via rejection sampling (unbiased).
-  uint64_t NextBounded(uint64_t bound);
+  /// Inline, so a constant bound folds the threshold and the modulo.
+  uint64_t NextBounded(uint64_t bound) {
+    if (bound <= 1) return 0;
+    // Rejection sampling over the top `bound`-aligned range.
+    const uint64_t threshold = (~bound + 1) % bound;  // = 2^64 mod bound
+    while (true) {
+      const uint64_t r = NextU64();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform double in [lo, hi).
   double NextUniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
@@ -55,10 +71,13 @@ class MT19937_64 {
   const std::array<uint64_t, kStateSize>& state() const { return mt_; }
 
  private:
-  void Twist();
+  /// Advances all kStateSize state words by the recurrence and tempers
+  /// each new word into `out_`.
+  void Refill();
 
-  std::array<uint64_t, kStateSize> mt_{};
-  int mti_ = kStateSize + 1;
+  std::array<uint64_t, kStateSize> mt_{};   // untempered state
+  std::array<uint64_t, kStateSize> out_{};  // tempered draws of the block
+  int pos_ = kStateSize;                    // next draw; kStateSize = used up
   bool has_gauss_ = false;
   double gauss_ = 0.0;
 };

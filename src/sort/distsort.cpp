@@ -17,11 +17,8 @@ constexpr char kAlphabet[] =
 constexpr uint64_t kAlphabetSize = sizeof(kAlphabet) - 1;
 
 std::string RandomText(MT19937_64* rng, int bytes) {
-  std::string s;
-  s.reserve(static_cast<size_t>(bytes));
-  for (int i = 0; i < bytes; ++i) {
-    s.push_back(kAlphabet[rng->NextBounded(kAlphabetSize)]);
-  }
+  std::string s(static_cast<size_t>(bytes), '\0');
+  for (char& c : s) c = kAlphabet[rng->NextBounded(kAlphabetSize)];
   return s;
 }
 

@@ -142,6 +142,40 @@ TEST(Parser, NestingPastTheDepthCapIsAnErrorNotACrash) {
   }
 }
 
+// A left-associative chain is folded by a loop, so Parse never recursed on
+// it, but it returned a tree as deep as the chain was long, and the
+// recursive passes after it overflowed the stack at 100k terms.  Each
+// folded operator now counts against the depth cap.
+TEST(Parser, LongOperatorChainIsAnErrorNotACrash) {
+  std::string chain = "1";
+  for (int i = 0; i < 100000; ++i) chain += "+1";
+  const std::string source =
+      "def map(key, value):\n    emit(key, " + chain + ")\n";
+  Result<std::shared_ptr<Module>> parsed = Parse(source);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("line 2: expression nested"),
+            std::string::npos)
+      << parsed.status().ToString();
+  analysis::AnalysisResult analyzed = analysis::AnalyzeKernelSource(source);
+  EXPECT_FALSE(analyzed.ok());
+  ASSERT_FALSE(analyzed.diagnostics.empty());
+  EXPECT_EQ(analyzed.diagnostics[0].severity, analysis::Severity::kError);
+  EXPECT_EQ(analyzed.diagnostics[0].span.line, 2);
+}
+
+TEST(Parser, TwoHundredTermChainStillParsesAndRuns) {
+  std::string chain = "1";
+  for (int i = 1; i < 200; ++i) chain += i % 2 ? "+2" : "-1";
+  TreeWalker walker;
+  ASSERT_TRUE(walker.LoadSource("x = " + chain + "\n").ok());
+  EXPECT_EQ(walker.GetGlobal("x").value().AsInt(), 1 + 100 * 2 - 99);
+  // A chain as the right operand of another chain's first fold sinks
+  // under every later fold; the cap counts that too.
+  std::string nested = "x = 1 + (" + chain + ")";
+  for (int i = 0; i < 100; ++i) nested += "+1";
+  EXPECT_FALSE(Parse(nested + "\n").ok());
+}
+
 TEST(Parser, HundredDeepExpressionsStillParse) {
   std::string power = "x = 1";
   for (int i = 0; i < 100; ++i) power += "**1";

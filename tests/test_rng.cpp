@@ -2,8 +2,10 @@
 // API, including the published reference vectors.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "rng/mt19937_64.h"
 #include "rng/streams.h"
@@ -109,6 +111,158 @@ TEST(MT19937_64, NextBoundedReferenceDraws) {
     for (uint64_t expected : c.draws) {
       EXPECT_EQ(rng.NextBounded(c.bound), expected) << "bound " << c.bound;
     }
+  }
+}
+
+// ---- Block refill against the scalar reference -------------------------
+
+/// The generator as the reference mt19937-64.c draws it: one `%`-indexed
+/// twist over the whole state when it is used up, and tempering per draw.
+/// It starts from a freshly seeded generator's state, so it checks the
+/// draw path only; `ReferenceVectorsInitByArray` pins the seeding.
+class ScalarReference {
+ public:
+  explicit ScalarReference(const MT19937_64& seeded) : mt_(seeded.state()) {}
+
+  uint64_t NextU64() {
+    if (mti_ >= kNN) Twist();
+    uint64_t x = mt_[mti_++];
+    x ^= (x >> 29) & 0x5555555555555555ull;
+    x ^= (x << 17) & 0x71D67FFFEDA60000ull;
+    x ^= (x << 37) & 0xFFF7EEE000000000ull;
+    x ^= x >> 43;
+    return x;
+  }
+
+  const std::array<uint64_t, MT19937_64::kStateSize>& state() const {
+    return mt_;
+  }
+
+  double NextDouble() {
+    return static_cast<double>(NextU64() >> 11) * (1.0 / 9007199254740992.0);
+  }
+
+  uint64_t NextBounded(uint64_t bound) {
+    if (bound <= 1) return 0;
+    uint64_t threshold = (~bound + 1) % bound;
+    while (true) {
+      uint64_t r = NextU64();
+      if (r >= threshold) return r % bound;
+    }
+  }
+
+  double NextGaussian() {
+    if (has_gauss_) {
+      has_gauss_ = false;
+      return gauss_;
+    }
+    double u1 = 0.0;
+    do {
+      u1 = NextDouble();
+    } while (u1 <= 0.0);
+    double u2 = NextDouble();
+    double r = std::sqrt(-2.0 * std::log(u1));
+    double theta = 2.0 * M_PI * u2;
+    gauss_ = r * std::sin(theta);
+    has_gauss_ = true;
+    return r * std::cos(theta);
+  }
+
+ private:
+  static constexpr int kNN = MT19937_64::kStateSize;
+
+  void Twist() {
+    for (int i = 0; i < kNN; ++i) {
+      uint64_t x = (mt_[i] & 0xFFFFFFFF80000000ull) |
+                   (mt_[(i + 1) % kNN] & 0x7FFFFFFFull);
+      mt_[i] = mt_[(i + 156) % kNN] ^ (x >> 1) ^
+               ((x & 1) ? 0xB5026F5AA96619E9ull : 0ull);
+    }
+    mti_ = 0;
+  }
+
+  std::array<uint64_t, kNN> mt_;
+  int mti_ = kNN;
+  bool has_gauss_ = false;
+  double gauss_ = 0.0;
+};
+
+/// Three scalar seeds and two key sets, one of them longer than the state.
+std::vector<MT19937_64> SeededGenerators() {
+  std::vector<MT19937_64> out = {MT19937_64(5489), MT19937_64(0),
+                                 MT19937_64(~0ull)};
+  const uint64_t keys[] = {0x12345ull, 0x23456ull, 0x34567ull, 0x45678ull};
+  out.emplace_back(std::span<const uint64_t>(keys, 4));
+  std::vector<uint64_t> long_keys(400);
+  for (size_t i = 0; i < long_keys.size(); ++i) {
+    long_keys[i] = i * 0x9E3779B97F4A7C15ull;
+  }
+  out.emplace_back(std::span<const uint64_t>(long_keys));
+  return out;
+}
+
+// Enough draws to cross four refills and land five words into a fifth.
+constexpr int kBlockDraws = 4 * MT19937_64::kStateSize + 5;
+
+TEST(MT19937_64, BlockRefillMatchesScalarReference) {
+  for (MT19937_64& rng : SeededGenerators()) {
+    ScalarReference ref(rng);
+    for (int i = 0; i < kBlockDraws; ++i) {
+      ASSERT_EQ(rng.NextU64(), ref.NextU64()) << "draw " << i;
+    }
+    EXPECT_EQ(rng.state(), ref.state());  // the untempered state too
+  }
+}
+
+TEST(MT19937_64, DoubleAndGaussianMatchScalarReference) {
+  for (MT19937_64& rng : SeededGenerators()) {
+    MT19937_64 copy = rng;
+    ScalarReference ref(rng);
+    ScalarReference ref_copy(rng);
+    for (int i = 0; i < kBlockDraws; ++i) {
+      ASSERT_EQ(rng.NextDouble(), ref.NextDouble()) << "draw " << i;
+      ASSERT_EQ(copy.NextGaussian(), ref_copy.NextGaussian()) << "draw " << i;
+    }
+  }
+}
+
+template <uint64_t kBound>
+uint64_t ConstantBoundDraw(MT19937_64& rng) {
+  return rng.NextBounded(kBound);
+}
+
+template <uint64_t kBound>
+void ExpectRuntimeBoundMatchesConstant() {
+  SCOPED_TRACE(kBound);
+  volatile uint64_t hidden = kBound;  // a bound the compiler cannot see
+  for (MT19937_64& constant : SeededGenerators()) {
+    MT19937_64 runtime = constant;
+    ScalarReference ref(constant);
+    for (int i = 0; i < kBlockDraws; ++i) {
+      const uint64_t expected = ref.NextBounded(kBound);
+      ASSERT_EQ(ConstantBoundDraw<kBound>(constant), expected) << "draw " << i;
+      ASSERT_EQ(runtime.NextBounded(hidden), expected) << "draw " << i;
+    }
+  }
+}
+
+TEST(MT19937_64, NextBoundedRuntimeBoundMatchesConstantBound) {
+  ExpectRuntimeBoundMatchesConstant<2>();
+  ExpectRuntimeBoundMatchesConstant<7>();
+  ExpectRuntimeBoundMatchesConstant<62>();
+  ExpectRuntimeBoundMatchesConstant<(uint64_t{1} << 32) + 1>();
+  ExpectRuntimeBoundMatchesConstant<(uint64_t{1} << 63) + 1>();
+  ExpectRuntimeBoundMatchesConstant<~uint64_t{0}>();
+}
+
+TEST(MT19937_64, CopyMidBlockContinuesIdentically) {
+  MT19937_64 rng(5489);
+  for (int i = 0; i < MT19937_64::kStateSize / 2 + 3; ++i) rng.NextU64();
+  rng.NextGaussian();  // leaves the second variate cached in the copy
+  MT19937_64 copy = rng;
+  EXPECT_EQ(copy.NextGaussian(), rng.NextGaussian());
+  for (int i = 0; i < kBlockDraws; ++i) {
+    ASSERT_EQ(copy.NextU64(), rng.NextU64()) << "draw " << i;
   }
 }
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -411,9 +412,12 @@ TEST(TypedTier, EnvAndSetterDisableTheTier) {
 // ---- Integer edges: one outcome on every engine ------------------------
 
 /// Calls `f(args)` on the tree-walker, the generic VM and the typed tier,
-/// requires all three to succeed with one Repr(), and returns it.
+/// requires all three to succeed with one Repr(), and returns it.  With
+/// `typed` false, `f` may stay generic on the typed VM (the tier runs no
+/// builtin calls).
 std::string ReprOnEveryEngine(const std::string& src,
-                              const std::vector<PyValue>& args) {
+                              const std::vector<PyValue>& args,
+                              bool typed = true) {
   SCOPED_TRACE(src);
   minipy::TreeWalker walker;
   EXPECT_TRUE(walker.LoadSource(src).ok());
@@ -421,12 +425,12 @@ std::string ReprOnEveryEngine(const std::string& src,
   generic.set_typed_tier_enabled(false);
   EXPECT_TRUE(generic.LoadSource(src).ok());
   AnalysisResult analyzed = AnalyzeOrDie(src);
-  minipy::Vm typed;
-  EXPECT_TRUE(typed.LoadModule(analyzed.module).ok());
-  EXPECT_TRUE(typed.HasTypedFunction("f"));
+  minipy::Vm typed_vm;
+  EXPECT_TRUE(typed_vm.LoadModule(analyzed.module).ok());
+  if (typed) EXPECT_TRUE(typed_vm.HasTypedFunction("f"));
   auto tw = walker.Call("f", args);
   auto gv = generic.Call("f", args);
-  auto tv = typed.Call("f", args);
+  auto tv = typed_vm.Call("f", args);
   if (!tw.ok() || !gv.ok() || !tv.ok()) {
     ADD_FAILURE() << tw.status().ToString() << " / " << gv.status().ToString()
                   << " / " << tv.status().ToString();
@@ -464,6 +468,60 @@ TEST(IntegerEdges, Int64MinFloorDivAndModByMinusOneWrapOnEveryEngine) {
   EXPECT_EQ(ReprOnEveryEngine("def f(x, d):\n    return (0 - x - x) % d\n",
                               {x, minus_one}),
             "0");
+}
+
+TEST(IntegerEdges, OverflowWrapsOnEveryEngine) {
+  // Each overflow once was undefined behaviour; it now wraps modulo 2^64
+  // on every engine.  The operands come as literals (the typed tier's
+  // immediate forms) and as arguments (its register forms).  INT64_MIN
+  // has no literal, so the source spells it -9223372036854775807 - 1.
+  const PyValue max(std::numeric_limits<int64_t>::max());
+  const PyValue min(std::numeric_limits<int64_t>::min());
+  const PyValue one(int64_t{1});
+  const PyValue minus_one(int64_t{-1});
+  const std::string kMax = "9223372036854775807";
+  const std::string kMin = "-9223372036854775808";
+  struct Case {
+    std::string body;  // of `def f(x, y)`
+    std::vector<PyValue> args;
+    std::string expected;
+    bool typed = true;  // false: a builtin call keeps `f` generic
+  };
+  const Case cases[] = {
+      // INT64_MAX + 1
+      {"9223372036854775807 + 1", {one, one}, kMin},
+      {"x + 1", {max, one}, kMin},
+      {"x + y", {max, one}, kMin},
+      // INT64_MIN - 1
+      {"-9223372036854775807 - 1 - 1", {one, one}, kMax},
+      {"x - 1", {min, one}, kMax},
+      {"x - y", {min, one}, kMax},
+      {"0 - x - 2", {max, one}, kMax},
+      // INT64_MIN * -1, and 2^62 * 2
+      {"(-9223372036854775807 - 1) * -1", {one, one}, kMin},
+      {"x * y", {min, minus_one}, kMin},
+      {"x * 2", {PyValue(int64_t{1} << 62), one}, kMin},
+      // -INT64_MIN
+      {"-(-9223372036854775807 - 1)", {one, one}, kMin},
+      {"-x", {min, one}, kMin},
+      {"0 - x", {min, one}, kMin},
+      // abs(INT64_MIN)
+      {"abs(-9223372036854775807 - 1)", {one, one}, kMin, false},
+      {"abs(x)", {min, one}, kMin, false},
+      // range stops at its last element instead of stepping past the end
+      {"len(range(x - 3, x, 2))", {max, one}, "2", false},
+      {"len(range(x + 3, x, -2))", {min, one}, "2", false},
+      {"len(range(0, x, x - 1))", {max, one}, "2", false},
+  };
+  for (const Case& c : cases) {
+    const std::string src = "def f(x, y):\n    return " + c.body + "\n";
+    EXPECT_EQ(ReprOnEveryEngine(src, c.args, c.typed), c.expected);
+  }
+  // `**` multiplies through the same wrap; only ApplyBinary evaluates it.
+  auto pow = minipy::ApplyBinary(minipy::BinOp::kPow, PyValue(int64_t{2}),
+                                 PyValue(int64_t{63}));
+  ASSERT_TRUE(pow.ok());
+  EXPECT_EQ(pow->Repr(), kMin);
 }
 
 TEST(IntegerEdges, IntsBeyondTwoTo53CompareExactlyOnEveryEngine) {
@@ -539,6 +597,8 @@ std::string FuzzProgram(Rng& rng) {
 }
 
 TEST(DifferentialFuzz, AllThreeTiersAgreeBitForBitIncludingDeopts) {
+  const PyValue int64_min(std::numeric_limits<int64_t>::min());
+  const PyValue two_to_62(int64_t{1} << 62);
   const std::vector<std::vector<PyValue>> arg_sets = {
       {PyValue(int64_t{3}), PyValue(int64_t{7})},
       {PyValue(int64_t{-5}), PyValue(int64_t{9})},
@@ -546,6 +606,10 @@ TEST(DifferentialFuzz, AllThreeTiersAgreeBitForBitIncludingDeopts) {
       // deopt and the deopted path must still match bit for bit.
       {PyValue(2.5), PyValue(4.0)},
       {PyValue(int64_t{11}), PyValue(0.125)},
+      // Integer edges: int + - * overflow here and wraps on every tier.
+      {int64_min, PyValue(int64_t{-1})},
+      {two_to_62, int64_min},
+      {PyValue(int64_t{-1}), two_to_62},
   };
 
   int typed_functions = 0;
