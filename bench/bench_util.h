@@ -110,11 +110,6 @@ inline const std::vector<std::pair<std::string, std::string>>&
 ThreadScalingCounters() {
   static const std::vector<std::pair<std::string, std::string>> kCounters = {
       {"mrs.pool.steals", "steals"},
-      {"mrs.shuffle.deposits", "deposits"},
-      {"mrs.shuffle.combine_in", "combine_in"},
-      {"mrs.shuffle.combine_out", "combine_out"},
-      {"mrs.thread.morsels", "morsels"},
-      {"mrs.thread.pipelined_submits", "pipelined_submits"},
   };
   return kCounters;
 }
@@ -131,8 +126,8 @@ inline std::vector<int64_t> SnapshotThreadCounters() {
 }
 
 /// Append "<prefix>_<suffix>" = current − before[i] for each scaling
-/// counter: the per-worker steal/shuffle/combine/morsel activity CI
-/// archives alongside the timing curve in BENCH_thread.json.
+/// counter: the pool's steal activity CI archives alongside the timing
+/// curve in BENCH_thread.json.
 inline void AppendCounterDeltas(const std::string& prefix,
                                 const std::vector<int64_t>& before,
                                 std::vector<BenchMetric>* metrics) {

@@ -61,7 +61,7 @@ class WordCount : public MapReduce {
 
 double RunMrs(const std::string& impl, const std::string& dir,
               bool use_combiner, int num_slaves, size_t* distinct,
-              int num_workers = 0, int morsel_records = 0) {
+              int num_workers = 0) {
   WordCount program;
   program.input_dir = dir;
   program.use_combiner = use_combiner;
@@ -70,7 +70,6 @@ double RunMrs(const std::string& impl, const std::string& dir,
   config.impl = impl;
   config.num_slaves = num_slaves;
   config.num_workers = num_workers;
-  config.morsel_records = morsel_records;
   Stopwatch watch;
   Status status = RunProgram(
       [&]() -> std::unique_ptr<MapReduce> {
@@ -231,9 +230,8 @@ int main(int argc, char** argv) {
   // (plus 8 on machines that have them).  Speedup is hardware-bound
   // (ideal on >=4 cores, ~1x on one core), so the emitted curve also
   // records thread_hw_concurrency — tools/check_scaling.py only enforces
-  // its floors where the cores exist.  Morsel splitting is on so the
-  // pool has sub-task work to balance, and per-worker counter deltas
-  // (steals, deposits, combines, morsels, pipelined submits) ride along.
+  // its floors where the cores exist.  The pool's steal count per run
+  // rides along.
   {
     std::string dir = JoinPath(*tmp, "subset");
     json_metrics.push_back(
@@ -245,8 +243,7 @@ int main(int argc, char** argv) {
     for (int workers : bench::ScalingWorkerCounts()) {
       size_t distinct = 0;
       std::vector<int64_t> before = bench::SnapshotThreadCounters();
-      double t = RunMrs("thread", dir, true, 4, &distinct, workers,
-                        /*morsel_records=*/64);
+      double t = RunMrs("thread", dir, true, 4, &distinct, workers);
       if (workers == 1) base = t;
       double speedup = (t > 0 && base > 0) ? base / t : 0;
       scaling.push_back({std::to_string(workers), bench::Fmt("%.2f", t),

@@ -204,11 +204,6 @@ void AddStandardMrsOptions(OptionParser* parser) {
               "worker threads for the thread implementation; 0 uses "
               "hardware concurrency",
               "0");
-  parser->Add("mrs-morsel-records", 0, true,
-              "thread: split a map task whose input exceeds this many "
-              "records into stealable morsels so the pool has work to "
-              "balance; 0 disables morsel splitting",
-              "0");
   parser->Add("mrs-tmpdir", 'T', true,
               "directory for intermediate data (mockparallel/masterslave)");
   parser->Add("mrs-seed", 'S', true,

@@ -105,10 +105,6 @@ bool WorkStealingPool::TrySteal(size_t index, Task* out) {
   return false;
 }
 
-int WorkStealingPool::CurrentWorkerIndex() const {
-  return tls_pool == this ? static_cast<int>(tls_index) : -1;
-}
-
 void WorkStealingPool::NoteClaimed() {
   size_t left = queued_.fetch_sub(1, std::memory_order_acq_rel) - 1;
   if (left == 0 && closed_.load(std::memory_order_acquire)) {

@@ -1,7 +1,7 @@
-// Work-stealing worker pool: the shared-memory data plane under
-// mrs::ThreadRunner, and the only task pool in the runtime (the HTTP
-// server gives each connection its own thread instead, because its
-// handlers block).
+// Work-stealing worker pool: the only parallel part of mrs::ThreadRunner,
+// which submits each dataset's tasks to it at once, and the only task pool
+// in the runtime (the HTTP server gives each connection its own thread
+// instead, because its handlers block).
 //
 // The pool keeps one deque per worker: a worker pops its own deque from the
 // back (LIFO, cache-warm) and, when empty, steals from the front of a
@@ -65,10 +65,6 @@ class WorkStealingPool {
   size_t OutstandingTasks() const {
     return outstanding_.load(std::memory_order_relaxed);
   }
-
-  /// Worker slot of the calling thread in this pool, or -1 when the
-  /// caller is not one of this pool's workers.
-  int CurrentWorkerIndex() const;
 
   /// Number of times a worker claimed a task from a sibling's deque.
   int64_t steal_count() const {

@@ -116,7 +116,7 @@ Result<std::vector<KeyValue>> Job::Collect(const DataSetPtr& dataset) {
   if (dataset->kind() == DataSetKind::kFile) {
     for (int split = 0; split < dataset->num_splits(); ++split) {
       MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> recs,
-                           GatherInputRecords(*dataset, split, fetch));
+                           ReadFileSplit(*dataset, split));
       out.insert(out.end(), std::make_move_iterator(recs.begin()),
                  std::make_move_iterator(recs.end()));
     }

@@ -17,8 +17,9 @@
 //    network;
 //  * tasks within a dataset execute in a seeded shuffled order (derived
 //    from the program seed and dataset id), approximating the out-of-order
-//    completion of a real cluster while staying fully reproducible.  For
-//    actual concurrency, use ThreadRunner.
+//    completion of a real cluster while staying fully reproducible.
+// ThreadRunner runs the same loop with each dataset's tasks at once on a
+// work-stealing pool.
 #pragma once
 
 #include <string>

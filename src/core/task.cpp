@@ -94,23 +94,14 @@ Result<std::vector<KeyValue>> LoadTaskInput(
   return out;
 }
 
-Result<std::vector<KeyValue>> GatherInputRecords(DataSet& input_ds, int split,
-                                                 const UrlFetcher& fetch) {
-  if (split < 0 || split >= input_ds.num_splits()) {
+Result<std::vector<KeyValue>> ReadFileSplit(const DataSet& file_ds,
+                                            int split) {
+  if (split < 0 || split >= file_ds.num_splits()) {
     return OutOfRangeError("input split out of range");
   }
-  if (input_ds.kind() == DataSetKind::kFile) {
-    const std::string& path = input_ds.file_paths().at(split);
-    MRS_ASSIGN_OR_RETURN(std::string raw, ReadFileToString(path));
-    return LinesToRecords(raw);
-  }
-  std::vector<KeyValue> out;
-  for (int s = 0; s < input_ds.num_sources(); ++s) {
-    Bucket& b = input_ds.bucket(s, split);
-    MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
-    out.insert(out.end(), b.records().begin(), b.records().end());
-  }
-  return out;
+  MRS_ASSIGN_OR_RETURN(std::string raw,
+                       ReadFileToString(file_ds.file_paths().at(split)));
+  return LinesToRecords(raw);
 }
 
 Result<std::vector<TaskInputPart>> BuildTaskInputParts(DataSet& input_ds,
@@ -342,13 +333,6 @@ Result<std::vector<KeyValue>> SortGroupApply(std::vector<KeyValue> records,
   return out;
 }
 
-Result<ReduceFn> FindCombiner(MapReduce& program,
-                              const DataSetOptions& options) {
-  std::string combine_op =
-      options.combine_name.empty() ? "combine" : options.combine_name;
-  return program.FindReduce(combine_op);
-}
-
 Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
                                        const DataSetOptions& options,
                                        int num_splits,
@@ -361,7 +345,10 @@ Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
   BroadcastScope broadcast_scope(options.broadcast.get());
   ReduceFn combiner;
   if (options.use_combiner) {
-    MRS_ASSIGN_OR_RETURN(combiner, FindCombiner(program, options));
+    MRS_ASSIGN_OR_RETURN(combiner, program.FindReduce(
+                                       options.combine_name.empty()
+                                           ? "combine"
+                                           : options.combine_name));
   }
   RowWriter out(program, num_splits, spill, "RunMapTask",
                 /*sorted_runs=*/true, std::move(combiner));
@@ -408,7 +395,7 @@ Result<std::vector<Bucket>> RunTaskOnDataSet(MapReduce& program, DataSet& ds,
     // A file split is a one-bucket column of (line number, line) records.
     column.emplace_back();
     MRS_ASSIGN_OR_RETURN(*column[0].mutable_records(),
-                         GatherInputRecords(in, split, fetch));
+                         ReadFileSplit(in, split));
     column[0].MarkLoaded();
   } else {
     if (split < 0 || split >= in.num_splits()) {

@@ -106,12 +106,9 @@ struct TaskInputPart {
 Result<std::vector<KeyValue>> LoadTaskInput(
     const std::vector<TaskInputPart>& parts, const UrlFetcher& fetch);
 
-/// Gather the input records for task `split` reading from dataset
-/// `input_ds` (a file split for RunTaskOnDataSet, a morsel source for the
-/// thread runner).  For file datasets this reads the split's file;
-/// otherwise it loads column `split` of the grid.
-Result<std::vector<KeyValue>> GatherInputRecords(DataSet& input_ds, int split,
-                                                 const UrlFetcher& fetch);
+/// Read split `split` of file dataset `file_ds` as (line number, line)
+/// records: a map task's input column, and what Collect returns for it.
+Result<std::vector<KeyValue>> ReadFileSplit(const DataSet& file_ds, int split);
 
 /// Build URL/inline input parts for a remote task (master side).  Buckets
 /// that have URLs are passed by reference; in-memory-only buckets are
@@ -158,7 +155,7 @@ Result<std::vector<Bucket>> RunTaskOnDataSet(MapReduce& program, DataSet& ds,
                                              const TaskSpillContext* spill);
 
 /// The one column-to-row body: runs a `kind` task over the input column
-/// it owns (the thread runner's shuffle board, a slave's fetched input),
+/// it owns (a copy of a local dataset's column, a slave's fetched input),
 /// moving the buckets' records into the task.  It is the only code that
 /// chooses how a reduce reads its column: when any bucket spilled or the
 /// task may spill itself, ReduceMergedSources streams the merge of the
@@ -187,12 +184,5 @@ Result<std::vector<KeyValue>> SortGroupApply(std::vector<KeyValue> records,
 /// emit, and Job::LocalData so all runners treat bad partitions the same.
 int ResolvePartition(const MapReduce& program, const Value& key,
                      int num_splits, const char* site);
-
-/// Resolve the combiner configured on a map dataset ("combine" when
-/// `options.combine_name` is empty).  Shared by the in-task combine path,
-/// combine-before-spill, and the thread runner's per-worker combiners —
-/// one lookup rule, so every layer aggregates with the same function.
-Result<ReduceFn> FindCombiner(MapReduce& program,
-                              const DataSetOptions& options);
 
 }  // namespace mrs

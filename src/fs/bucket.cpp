@@ -12,17 +12,6 @@
 
 namespace mrs {
 
-void Bucket::Absorb(Bucket&& other) {
-  if (records_.empty()) {
-    records_ = std::move(other.records_);
-  } else {
-    records_.insert(records_.end(),
-                    std::make_move_iterator(other.records_.begin()),
-                    std::make_move_iterator(other.records_.end()));
-  }
-  other.records_.clear();
-}
-
 Status Bucket::PersistToFile(const std::string& path) {
   MRS_RETURN_IF_ERROR(WriteFileAtomic(path, EncodeBinaryRecords(records_)));
   url_ = "file://" + path;

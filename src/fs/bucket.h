@@ -46,11 +46,6 @@ class Bucket {
   /// Mark in-memory contents as authoritative (constructors of source data).
   void MarkLoaded() { loaded_ = true; }
 
-  /// Append another bucket's in-memory records, leaving the donor empty.
-  /// Used to assemble one task's output from morsel partials in morsel
-  /// order; the donor must not be spilled (assembly is in-memory only).
-  void Absorb(Bucket&& other);
-
   /// Drop in-memory records (keeps url and spill runs) to bound memory on
   /// large runs.
   void Evict() {

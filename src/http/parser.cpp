@@ -24,16 +24,21 @@ Result<size_t> HttpParserBase::Feed(std::string_view data) {
 
     // Head: accumulate until CRLF (tolerate bare LF).
     size_t nl = data.find('\n', consumed);
+    size_t end = nl == std::string_view::npos ? data.size() : nl + 1;
+    buffer_.append(data.substr(consumed, end - consumed));
+    consumed = end;
+    if (head_bytes_ + buffer_.size() > limits_.head_bytes) {
+      return ProtocolError("HTTP head exceeds " +
+                           std::to_string(limits_.head_bytes) + " bytes");
+    }
     if (nl == std::string_view::npos) {
-      buffer_.append(data.substr(consumed));
-      consumed = data.size();
       if (buffer_.size() > 64 * 1024) {
         return ProtocolError("HTTP header line exceeds 64KiB");
       }
       break;
     }
-    buffer_.append(data.substr(consumed, nl - consumed));
-    consumed = nl + 1;
+    head_bytes_ += buffer_.size();
+    buffer_.pop_back();  // the '\n'
     if (!buffer_.empty() && buffer_.back() == '\r') buffer_.pop_back();
     std::string line = std::move(buffer_);
     buffer_.clear();
@@ -51,6 +56,11 @@ Result<size_t> HttpParserBase::Feed(std::string_view data) {
           state_ = State::kBody;
         }
       } else {
+        if (++header_lines_ > limits_.header_lines) {
+          return ProtocolError("more than " +
+                               std::to_string(limits_.header_lines) +
+                               " HTTP header lines");
+        }
         MRS_RETURN_IF_ERROR(HandleHeaderLine(line));
       }
     }
@@ -67,8 +77,10 @@ Status HttpParserBase::HandleHeaderLine(std::string_view line) {
   std::string value(Trim(line.substr(colon + 1)));
   if (EqualsIgnoreCase(name, "Content-Length")) {
     auto n = ParseUint64(value);
-    if (!n.has_value() || *n > (1ull << 40)) {
-      return ProtocolError("bad Content-Length: " + value);
+    if (!n.has_value()) return ProtocolError("bad Content-Length: " + value);
+    if (*n > limits_.body_bytes) {
+      return OutOfRangeError("Content-Length " + value + " exceeds " +
+                             std::to_string(limits_.body_bytes) + " bytes");
     }
     content_length_ = static_cast<long long>(*n);
   }

@@ -119,10 +119,21 @@ void HttpServer::ServeRequests(const TcpConn& conn) {
   char buf[16384];
   while (!stop_.load()) {
     HttpRequestParser parser;
+    // A request over the parser's caps is refused and the connection
+    // closed: 413 for a body too large, 400 for anything else.
+    auto refuse = [&conn](const Status& status) {
+      HttpResponse resp =
+          status.code() == StatusCode::kOutOfRange
+              ? HttpResponse::Make(413, "Payload Too Large",
+                                   status.ToString())
+              : HttpResponse::BadRequest(status.ToString());
+      resp.headers.Set("Connection", "close");
+      (void)conn.WriteAll(resp.Serialize());
+    };
     // Feed leftover bytes first.
     if (!pending.empty()) {
       Result<size_t> used = parser.Feed(pending);
-      if (!used.ok()) return;
+      if (!used.ok()) return refuse(used.status());
       pending.erase(0, *used);
     }
     while (!parser.Done()) {
@@ -134,12 +145,7 @@ void HttpServer::ServeRequests(const TcpConn& conn) {
       if (!n.ok() || *n == 0) return;  // peer closed, Shutdown, or error
       std::string_view chunk(buf, *n);
       Result<size_t> used = parser.Feed(chunk);
-      if (!used.ok()) {
-        HttpResponse resp = HttpResponse::BadRequest(used.status().ToString());
-        resp.headers.Set("Connection", "close");
-        (void)conn.WriteAll(resp.Serialize());
-        return;
-      }
+      if (!used.ok()) return refuse(used.status());
       if (*used < chunk.size()) pending.append(chunk.substr(*used));
     }
 

@@ -84,6 +84,17 @@ int CompareNumeric(const PyValue& a, const PyValue& b) {
 
 }  // namespace
 
+Result<int64_t> PyToInt(const PyValue& v) {
+  if (!v.is_float()) return v.AsInt();
+  // Every double in [-2^63, 2^63) truncates into int64; NaN fails both
+  // comparisons, and is named without the sign its bits happen to carry.
+  const double d = v.AsFloat();
+  if (d >= -0x1p63 && d < 0x1p63) return static_cast<int64_t>(d);
+  return OutOfRangeError("cannot convert float " +
+                         (std::isnan(d) ? std::string("nan") : v.Repr()) +
+                         " to int");
+}
+
 bool PyEquals(const PyValue& a, const PyValue& b) {
   if (a.is_numeric() && b.is_numeric()) {
     if (a.is_int() && b.is_int()) return a.AsInt() == b.AsInt();
@@ -254,7 +265,10 @@ Result<PyValue> CallBuiltin(const std::string& name,
   }
   if (name == "int") {
     MRS_RETURN_IF_ERROR(arity(1));
-    if (args[0].is_numeric()) return PyValue(args[0].AsInt());
+    if (args[0].is_numeric()) {
+      MRS_ASSIGN_OR_RETURN(int64_t i, PyToInt(args[0]));
+      return PyValue(i);
+    }
     if (args[0].is_string()) {
       auto v = ParseInt64(Trim(args[0].AsString()));
       if (!v.has_value()) return InvalidArgumentError("bad int literal");
@@ -296,20 +310,17 @@ Result<PyValue> CallBuiltin(const std::string& name,
     return best;
   }
   if (name == "range") {
-    int64_t start = 0, stop = 0, step = 1;
-    if (args.size() == 1) {
-      stop = args[0].AsInt();
-    } else if (args.size() == 2) {
-      start = args[0].AsInt();
-      stop = args[1].AsInt();
-    } else if (args.size() == 3) {
-      start = args[0].AsInt();
-      stop = args[1].AsInt();
-      step = args[2].AsInt();
-      if (step == 0) return InvalidArgumentError("range() step must not be 0");
-    } else {
+    if (args.empty() || args.size() > 3) {
       return InvalidArgumentError("range() takes 1-3 arguments");
     }
+    // range(stop), range(start, stop) or range(start, stop, step).
+    int64_t bounds[3] = {0, 0, 1};
+    const size_t first = args.size() == 1 ? 1 : 0;
+    for (size_t i = 0; i < args.size(); ++i) {
+      MRS_ASSIGN_OR_RETURN(bounds[first + i], PyToInt(args[i]));
+    }
+    const int64_t start = bounds[0], stop = bounds[1], step = bounds[2];
+    if (step == 0) return InvalidArgumentError("range() step must not be 0");
     // Stop at the last element instead of stepping past it, so no step
     // leaves int64: `left` is the exact distance to `stop` as unsigned.
     const uint64_t stride = step > 0 ? static_cast<uint64_t>(step)

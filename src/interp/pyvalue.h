@@ -50,7 +50,9 @@ class PyValue {
   bool is_string() const { return type_ == Type::kString; }
   bool is_list() const { return type_ == Type::kList; }
 
-  int64_t AsInt() const { return type_ == Type::kFloat ? static_cast<int64_t>(float_) : int_; }
+  /// The value of an int or a bool.  A float converts only through
+  /// PyToInt, which checks its range.
+  int64_t AsInt() const { return int_; }
   double AsFloat() const { return type_ == Type::kFloat ? float_ : static_cast<double>(int_); }
   bool AsBool() const;  // Python truthiness
   const std::string& AsString() const { return *str_; }
@@ -87,6 +89,13 @@ bool PyEquals(const PyValue& a, const PyValue& b);
 Result<PyValue> CallBuiltin(const std::string& name,
                             std::vector<PyValue>& args);
 bool IsBuiltin(const std::string& name);
+
+/// The int `v` stands for where MiniPy needs one: int(), range() bounds
+/// and subscripts.  A float truncates toward zero; NaN, the infinities and
+/// floats outside int64 have no int value and are an OutOfRange error,
+/// "cannot convert float <repr> to int", on every engine.  This is the
+/// only float-to-int conversion in MiniPy.
+Result<int64_t> PyToInt(const PyValue& v);
 
 // Exact integer semantics shared by ApplyBinary, the builtins and the
 // typed tier, the only places any engine does int arithmetic.  Every

@@ -94,7 +94,11 @@ Result<TreeWalker::Flow> TreeWalker::Exec(const Stmt& stmt, Frame* frame,
         if (!base.is_list() || !index.is_numeric()) {
           return ErrorAt(stmt.line, "invalid subscript assignment");
         }
-        int64_t i = index.AsInt();
+        Result<int64_t> checked = PyToInt(index);
+        if (!checked.ok()) {
+          return ErrorAt(stmt.line, checked.status().message());
+        }
+        int64_t i = *checked;
         PyList& list = base.AsList();
         if (i < 0) i += static_cast<int64_t>(list.size());
         if (i < 0 || i >= static_cast<int64_t>(list.size())) {
@@ -257,7 +261,11 @@ Result<PyValue> TreeWalker::Eval(const Expr& expr, Frame* frame) {
       if (!index.is_numeric()) {
         return ErrorAt(expr.line, "list index must be an integer");
       }
-      int64_t i = index.AsInt();
+      Result<int64_t> checked = PyToInt(index);
+      if (!checked.ok()) {
+        return ErrorAt(expr.line, checked.status().message());
+      }
+      int64_t i = *checked;
       if (base.is_list()) {
         const PyList& list = base.AsList();
         if (i < 0) i += static_cast<int64_t>(list.size());

@@ -630,7 +630,9 @@ Result<PyValue> Vm::RunFunction(const CompiledFunction& fn,
         stack.pop_back();
         PyValue& base = stack.back();
         if (!index.is_numeric()) return runtime_error("index must be integer");
-        int64_t i = index.AsInt();
+        Result<int64_t> checked = PyToInt(index);
+        if (!checked.ok()) return runtime_error(checked.status().message());
+        int64_t i = *checked;
         if (base.is_list()) {
           const PyList& list = base.AsList();
           if (i < 0) i += static_cast<int64_t>(list.size());
@@ -660,8 +662,10 @@ Result<PyValue> Vm::RunFunction(const CompiledFunction& fn,
         if (!base.is_list() || !index.is_numeric()) {
           return runtime_error("invalid subscript assignment");
         }
+        Result<int64_t> checked = PyToInt(index);
+        if (!checked.ok()) return runtime_error(checked.status().message());
+        int64_t i = *checked;
         PyList& list = base.AsList();
-        int64_t i = index.AsInt();
         if (i < 0) i += static_cast<int64_t>(list.size());
         if (i < 0 || i >= static_cast<int64_t>(list.size())) {
           return runtime_error("list index out of range");

@@ -98,8 +98,7 @@ Status RunProgram(const ProgramFactory& factory, MapReduce* program,
     return run(std::make_unique<SerialRunner>(program));
   }
   if (config.impl == "thread") {
-    return run(std::make_unique<ThreadRunner>(program, config.num_workers,
-                                              config.morsel_records));
+    return run(std::make_unique<ThreadRunner>(program, config.num_workers));
   }
   if (config.impl == "mockparallel") {
     std::string tmpdir = config.tmpdir;

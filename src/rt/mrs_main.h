@@ -46,7 +46,6 @@ struct RunConfig {
   int num_slaves = 2;
   int tasks_per_slave = 2;
   int num_workers = 0;           // thread; 0 = hardware concurrency
-  int morsel_records = -1;       // thread; <0 reads --mrs-morsel-records
   std::string tmpdir;            // mockparallel; empty = fresh temp dir
   bool shared_files = false;     // masterslave: file:// buckets
   int first_slave_faults = 0;    // masterslave fault injection

@@ -354,11 +354,9 @@ void CheckSpillSweep(
 
 // ---- Combine-enabled thread scaling sweep --------------------------------
 //
-// The thread runner's worker-side combiners (and morsel fan-out) only
-// fire on a combine-enabled map→reduce edge; sweep worker counts with
-// and without a memory budget and demand the serial answer byte-for-byte.
-// Under an active budget both optimizations must disable themselves and
-// take the plain spill path.
+// A combine-enabled map→reduce edge on the thread runner: sweep worker
+// counts with and without a memory budget and demand the serial answer
+// byte-for-byte.
 TEST(EquivalenceMatrix, CombineEnabledWordCountWorkerAndBudgetSweep) {
   auto factory = [] {
     auto p = std::make_unique<MatrixWordCount>();
@@ -366,10 +364,7 @@ TEST(EquivalenceMatrix, CombineEnabledWordCountWorkerAndBudgetSweep) {
     p->use_combiner = true;
     return std::unique_ptr<MapReduce>(std::move(p));
   };
-  // Morsel splitting stays on for the whole sweep: the thread runner
-  // reads --mrs-morsel-records, every other implementation ignores it.
   Options opts;
-  opts.Set("mrs-morsel-records", "40");
 
   std::string reference;
   {

@@ -152,6 +152,169 @@ TEST(HttpParser, ToleratesBareLf) {
   EXPECT_TRUE(parser.Done());
 }
 
+// ---- Request caps ----------------------------------------------------------
+
+constexpr size_t kHeadCap = 64 << 10;
+constexpr size_t kHeaderLineCap = 100;
+constexpr size_t kBodyCap = 64 << 20;
+
+/// A GET request head with `lines` "X-Pad" header lines, padded so that
+/// the whole head (request line, header lines and blank line, with their
+/// CRLFs) is exactly `head_bytes` long.
+std::string PaddedHead(size_t lines, size_t head_bytes) {
+  std::string head = "GET /caps HTTP/1.1\r\n";
+  const std::string name = "X-Pad: ";
+  size_t fill = head_bytes - head.size() - 2 - lines * (name.size() + 2);
+  for (size_t i = 0; i < lines; ++i) {
+    size_t n = fill / lines + (i == 0 ? fill % lines : 0);
+    head += name + std::string(n, 'a') + "\r\n";
+  }
+  return head + "\r\n";
+}
+
+TEST(HttpParser, RequestHeadCapsAreExact) {
+  {
+    HttpRequestParser parser;
+    ASSERT_TRUE(parser.Feed(PaddedHead(kHeaderLineCap, 4096)).ok());
+    EXPECT_TRUE(parser.Done());
+    EXPECT_EQ(parser.request().headers.entries().size(), kHeaderLineCap);
+  }
+  {
+    HttpRequestParser parser;
+    auto used = parser.Feed(PaddedHead(kHeaderLineCap + 1, 4096));
+    ASSERT_FALSE(used.ok());
+    EXPECT_EQ(used.status().code(), StatusCode::kProtocolError);
+  }
+  {
+    HttpRequestParser parser;
+    ASSERT_TRUE(parser.Feed(PaddedHead(99, kHeadCap)).ok());
+    EXPECT_TRUE(parser.Done());
+  }
+  {
+    // One byte over, fed in small chunks: refused before the head ends.
+    HttpRequestParser parser;
+    std::string head = PaddedHead(99, kHeadCap + 1);
+    Status status;
+    for (size_t at = 0; at < head.size() && status.ok(); at += 1000) {
+      status = parser.Feed(std::string_view(head).substr(at, 1000)).status();
+    }
+    EXPECT_EQ(status.code(), StatusCode::kProtocolError);
+    EXPECT_FALSE(parser.Done());
+  }
+}
+
+TEST(HttpParser, RequestBodyCapIsExactAndCheckedBeforeTheBody) {
+  {
+    HttpRequestParser parser;
+    std::string head = "POST / HTTP/1.1\r\nContent-Length: " +
+                       std::to_string(kBodyCap) + "\r\n\r\n";
+    auto used = parser.Feed(head);
+    ASSERT_TRUE(used.ok()) << used.status().ToString();
+    EXPECT_EQ(*used, head.size());
+    EXPECT_FALSE(parser.Done());  // waiting for the body
+  }
+  {
+    HttpRequestParser parser;
+    auto used = parser.Feed("POST / HTTP/1.1\r\nContent-Length: " +
+                            std::to_string(kBodyCap + 1) + "\r\n");
+    ASSERT_FALSE(used.ok());
+    EXPECT_EQ(used.status().code(), StatusCode::kOutOfRange);
+  }
+}
+
+TEST(HttpParser, ResponseParserKeepsItsLimits) {
+  HttpResponseParser parser;
+  std::string head = "HTTP/1.1 200 OK\r\n";
+  for (size_t i = 0; i <= kHeaderLineCap; ++i) {
+    head += "X-Pad: " + std::string(1000, 'a') + "\r\n";
+  }
+  head += "Content-Length: 1073741824\r\n\r\n";
+  auto used = parser.Feed(head);
+  ASSERT_TRUE(used.ok()) << used.status().ToString();
+  EXPECT_EQ(*used, head.size());
+  HttpResponseParser too_big;
+  EXPECT_FALSE(
+      too_big.Feed("HTTP/1.1 200 OK\r\nContent-Length: 1099511627777\r\n")
+          .ok());
+}
+
+/// A server whose every answer is "<header count> <body bytes>".
+class HttpRequestCaps : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto server = HttpServer::Start("127.0.0.1", 0, [](const HttpRequest& r) {
+      return HttpResponse::Ok(std::to_string(r.headers.entries().size()) +
+                              " " + std::to_string(r.body.size()));
+    });
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    server_ = std::move(server).value();
+  }
+
+  /// Send `raw` on a new connection and parse the one response to it.
+  Result<HttpResponse> Send(const std::string& raw) {
+    MRS_ASSIGN_OR_RETURN(TcpConn conn, TcpConn::Connect(server_->addr()));
+    MRS_RETURN_IF_ERROR(conn.WriteAll(raw));
+    HttpResponseParser parser;
+    char buf[16384];
+    while (!parser.Done()) {
+      pollfd pfd{conn.fd(), POLLIN, 0};
+      if (::poll(&pfd, 1, 10000) <= 0) {
+        return DeadlineExceededError("no response in 10 s");
+      }
+      MRS_ASSIGN_OR_RETURN(size_t n, conn.Read(buf, sizeof(buf)));
+      if (n == 0) return UnavailableError("closed without a response");
+      MRS_RETURN_IF_ERROR(parser.Feed(std::string_view(buf, n)).status());
+    }
+    return parser.TakeResponse();
+  }
+
+  std::unique_ptr<HttpServer> server_;
+};
+
+TEST_F(HttpRequestCaps, TooManyHeaderLinesGet400) {
+  auto resp = Send(PaddedHead(kHeaderLineCap + 1, 4096));
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status_code, 400);
+  EXPECT_EQ(resp->headers.Get("Connection"), "close");
+}
+
+TEST_F(HttpRequestCaps, HeadOver64KiBInShortLinesGets400) {
+  auto resp = Send(PaddedHead(99, 65 << 10));
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status_code, 400);
+  EXPECT_NE(resp->body.find("HTTP head exceeds"), std::string::npos)
+      << resp->body;
+}
+
+TEST_F(HttpRequestCaps, HugeContentLengthGets413AtOnce) {
+  // No body byte follows: the refusal must not wait for one.
+  Stopwatch watch;
+  auto resp = Send("POST /caps HTTP/1.1\r\nContent-Length: 1073741824\r\n\r\n");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status_code, 413);
+  EXPECT_EQ(resp->headers.Get("Connection"), "close");
+  EXPECT_LT(watch.ElapsedSeconds(), 5.0);
+}
+
+TEST_F(HttpRequestCaps, RequestsExactlyAtEachCapAreServed) {
+  auto lines = Send(PaddedHead(kHeaderLineCap, 4096));
+  ASSERT_TRUE(lines.ok()) << lines.status().ToString();
+  EXPECT_EQ(lines->status_code, 200);
+  EXPECT_EQ(lines->body, std::to_string(kHeaderLineCap) + " 0");
+
+  auto head = Send(PaddedHead(99, kHeadCap));
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(head->status_code, 200);
+  EXPECT_EQ(head->body, "99 0");
+
+  auto body = Send("POST /caps HTTP/1.1\r\nContent-Length: " +
+                   std::to_string(kBodyCap) + "\r\n\r\n" +
+                   std::string(kBodyCap, 'b'));
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  EXPECT_EQ(body->status_code, 200);
+  EXPECT_EQ(body->body, "1 " + std::to_string(kBodyCap));
+}
+
 // ---- URL parsing -------------------------------------------------------------
 
 TEST(HttpUrl, ParseFullUrl) {

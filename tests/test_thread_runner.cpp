@@ -1,7 +1,7 @@
 // Tests for the thread implementation: the work-stealing pool's claim /
-// steal / drain semantics, and ThreadRunner's determinism, pipelined
-// multi-stage chains, and failure behavior (an exception on a worker must
-// surface as a Status; a failed chain must not hang Wait).
+// steal / drain semantics, and ThreadRunner's determinism, multi-stage
+// chains, and failure behavior (an exception on a worker must surface as
+// a Status; a failed chain must not hang Wait).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -203,8 +203,8 @@ TEST(ThreadRunner, MatchesSerialForEveryWorkerCount) {
 }
 
 TEST(ThreadRunner, MultiStageChainRunsInOneWait) {
-  // map → reduce → map, all lazy, resolved by a single Collect: the chain
-  // executor must pipeline shuffle deposits across both boundaries.
+  // map → reduce → map, all lazy, resolved by a single Collect: Wait must
+  // run all three stages in dependency order.
   ThreadedWordCount program;
   ASSERT_TRUE(program.Init(Options()).ok());
   program.RegisterMap("tag", [](const Value& k, const Value& v,
@@ -277,96 +277,6 @@ TEST(ThreadRunner, SkewedTaskCostsDoNotStallTheJob) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->size(), static_cast<size_t>(kTasks));
   EXPECT_EQ(program.quick_done.load(), kTasks - 1);
-}
-
-// ---- Morsels and pipelined scheduling ------------------------------------
-
-TEST(ThreadRunner, MorselizedTasksMatchSerialOutput) {
-  ThreadedWordCount serial_program;
-  ASSERT_TRUE(serial_program.Init(Options()).ok());
-  std::string expected =
-      RunWordCount<SerialRunner>(&serial_program, /*parallelism=*/3);
-  obs::Counter* morsels =
-      obs::Registry::Instance().GetCounter("mrs.thread.morsels");
-  for (int workers : {2, 4}) {
-    ThreadedWordCount program;
-    ASSERT_TRUE(program.Init(Options()).ok());
-    int64_t before = morsels->value();
-    // 3 map tasks x 20 records, morsel threshold 4: five morsels per task.
-    EXPECT_EQ(RunWordCount<ThreadRunner>(&program, /*parallelism=*/3, workers,
-                                         /*morsel_records=*/4),
-              expected)
-        << "workers=" << workers;
-    EXPECT_GT(morsels->value(), before) << "workers=" << workers;
-  }
-}
-
-// A WordCount whose per-task combiner refuses to finish until some reduce
-// invocation has run.  Under morsel fan-out the per-task combiner runs in
-// the task finalizer, after every morsel has already deposited its raw
-// partial counts for the reduce stage — so the job can complete only if a
-// reduce task genuinely started before the slowest map task finished.
-// The old stage-barrier scheduler deadlocks here (and the test would fail
-// via the combiner's escape-hatch timeout).
-class PipelinedWordCount : public ThreadedWordCount {
- public:
-  std::atomic<bool> reduce_started{false};
-  std::atomic<bool> combine_timed_out{false};
-
-  void Reduce(const Value& key, const ValueList& values,
-              const ValueEmitter& emit) override {
-    reduce_started.store(true, std::memory_order_release);
-    ThreadedWordCount::Reduce(key, values, emit);
-  }
-  void Combine(const Value& key, const ValueList& values,
-               const ValueEmitter& emit) override {
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!reduce_started.load(std::memory_order_acquire)) {
-      if (std::chrono::steady_clock::now() > deadline) {
-        combine_timed_out.store(true, std::memory_order_release);
-        break;
-      }
-      std::this_thread::yield();
-    }
-    ThreadedWordCount::Reduce(key, values, emit);
-  }
-};
-
-TEST(ThreadRunner, ReduceStartsBeforeSlowestMapTaskFinishes) {
-  PipelinedWordCount program;
-  ASSERT_TRUE(program.Init(Options()).ok());
-  obs::Counter* pipelined =
-      obs::Registry::Instance().GetCounter("mrs.thread.pipelined_submits");
-  int64_t pipelined_before = pipelined->value();
-
-  // One oversized map task split into six morsels; three workers so the
-  // finalizer blocking in Combine still leaves workers free for reduces.
-  Job job(&program,
-          std::make_unique<ThreadRunner>(&program, /*num_workers=*/3,
-                                         /*morsel_records=*/10));
-  job.set_default_parallelism(4);
-  DataSetPtr input = job.LocalData(WordInput(60), /*num_splits=*/1);
-  DataSetOptions map_options;
-  map_options.use_combiner = true;
-  DataSetPtr mapped = job.MapData(input, map_options);
-  DataSetOptions reduce_options;
-  reduce_options.num_splits = 4;
-  DataSetPtr reduced = job.ReduceData(mapped, reduce_options);
-  auto out = job.Collect(reduced);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-
-  EXPECT_TRUE(program.reduce_started.load());
-  EXPECT_FALSE(program.combine_timed_out.load())
-      << "no reduce task started while the map task was still finishing";
-  EXPECT_GT(pipelined->value(), pipelined_before);
-
-  // And the pipelined run still produces the serial answer.
-  ThreadedWordCount serial_program;
-  ASSERT_TRUE(serial_program.Init(Options()).ok());
-  std::sort(out->begin(), out->end(), KeyValueLess);
-  EXPECT_EQ(EncodeTextRecords(*out),
-            RunWordCount<SerialRunner>(&serial_program, /*parallelism=*/6));
 }
 
 // ---- Failure propagation -------------------------------------------------

@@ -534,6 +534,69 @@ TEST(IntegerEdges, IntsBeyondTwoTo53CompareExactlyOnEveryEngine) {
             "False");
 }
 
+/// What `f(x)` gives on the tree-walker, the generic VM and the typed VM,
+/// which must agree: its Repr(), or "error: " and the error message
+/// without the engine's location prefix ("line N: " or "in f: ").
+std::string OutcomeOnEveryEngine(const std::string& src, const PyValue& x) {
+  SCOPED_TRACE(src);
+  minipy::TreeWalker walker;
+  EXPECT_TRUE(walker.LoadSource(src).ok());
+  minipy::Vm generic;
+  generic.set_typed_tier_enabled(false);
+  EXPECT_TRUE(generic.LoadSource(src).ok());
+  AnalysisResult analyzed = AnalyzeOrDie(src);
+  minipy::Vm typed_vm;
+  EXPECT_TRUE(typed_vm.LoadModule(analyzed.module).ok());
+  auto outcome = [](const Result<PyValue>& r) -> std::string {
+    if (r.ok()) return r->Repr();
+    const std::string& message = r.status().message();
+    size_t prefix = message.find(": ");
+    return "error: " + (prefix == std::string::npos
+                            ? message
+                            : message.substr(prefix + 2));
+  };
+  std::string tw = outcome(walker.Call("f", {x}));
+  EXPECT_EQ(outcome(generic.Call("f", {x})), tw);
+  EXPECT_EQ(outcome(typed_vm.Call("f", {x})), tw);
+  return tw;
+}
+
+TEST(IntegerEdges, FloatToIntIsCheckedOnEveryEngine) {
+  // A float outside int64, an infinity or a NaN once went through an
+  // undefined cast: int(1e300) and int(-1e300) both read INT64_MIN, and
+  // range(1e19) was empty.  Each is now one named error, and an in-range
+  // float still truncates toward zero.
+  const PyValue inf(std::numeric_limits<double>::infinity());
+  const PyValue one(int64_t{1});
+  struct Case {
+    std::string body;  // of `def f(x)`
+    PyValue x;
+    std::string expected;
+  };
+  const std::string kError = "error: cannot convert float ";
+  const Case cases[] = {
+      {"return int(1e300)", one, kError + "1e+300 to int"},
+      {"return int(-1e300)", one, kError + "-1e+300 to int"},
+      {"return int(1e300 * 1e300)", one, kError + "inf to int"},
+      {"return int(x - x)", inf, kError + "nan to int"},
+      {"return len(range(1e19))", one, kError + "1e+19 to int"},
+      {"xs = [1, 2]\n    return xs[1e300]", one, kError + "1e+300 to int"},
+      {"xs = [1, 2]\n    xs[1e300] = 3\n    return xs", one,
+       kError + "1e+300 to int"},
+      {"return int(9223372036854775808.0)", one,
+       kError + "9.22337203685e+18 to int"},
+      {"return int(-9223372036854775808.0)", one, "-9223372036854775808"},
+      {"return int(2.9)", one, "2"},
+      {"return int(-2.9)", one, "-2"},
+      {"return int(-9.2e18)", one, "-9200000000000000000"},
+      {"xs = [1, 2]\n    return xs[1.9]", one, "2"},
+  };
+  for (const Case& c : cases) {
+    const std::string src = "def f(x):\n    " + c.body + "\n";
+    EXPECT_EQ(OutcomeOnEveryEngine(src, c.x), c.expected);
+  }
+}
+
 // ---- Differential fuzz: treewalk vs generic VM vs typed tier ------------
 
 /// Deterministic split-mix style generator; no global randomness so every
