@@ -209,7 +209,6 @@ int main(int argc, char** argv) {
     scaling.push_back({"workers", "seconds", "speedup vs 1 worker"});
     double base = -1;
     for (int workers : bench::ScalingWorkerCounts()) {
-      std::vector<int64_t> before = bench::SnapshotThreadCounters();
       double t = RunMrsPi(PiEngine::kNative, samples, "thread", workers);
       if (workers == 1) base = t;
       double speedup = (t > 0 && base > 0) ? base / t : 0;
@@ -218,7 +217,6 @@ int main(int argc, char** argv) {
       std::string w = std::to_string(workers);
       json_metrics.push_back({"thread_w" + w + "_s", t});
       json_metrics.push_back({"thread_speedup_w" + w, speedup});
-      bench::AppendCounterDeltas("thread_w" + w, before, &json_metrics);
     }
     bench::PrintTable("Thread runner scaling (native engine, " +
                           std::to_string(samples) + " samples)",

@@ -238,7 +238,6 @@ int main(int argc, char** argv) {
                        "speedup vs 1 worker"});
     double base = -1;
     for (int workers : bench::ScalingWorkerCounts()) {
-      std::vector<int64_t> before = bench::SnapshotThreadCounters();
       SeriesResult r = RunParallel(config, "thread", workers);
       double t = r.result.seconds;
       if (workers == 1) base = t;
@@ -251,7 +250,6 @@ int main(int argc, char** argv) {
       std::string w = std::to_string(workers);
       json_metrics.push_back({"thread_w" + w + "_s", t});
       json_metrics.push_back({"thread_speedup_w" + w, speedup});
-      bench::AppendCounterDeltas("thread_w" + w, before, &json_metrics);
       if (r.result.best != serial->best) {
         std::fprintf(stderr,
                      "WARNING: thread (%d workers) diverged from serial "

@@ -7,11 +7,9 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/strings.h"
-#include "obs/metrics.h"
 
 namespace mrs {
 namespace bench {
@@ -102,42 +100,6 @@ inline std::vector<int> ScalingWorkerCounts() {
   std::vector<int> counts = {1, 2, 4};
   if (std::thread::hardware_concurrency() >= 8) counts.push_back(8);
   return counts;
-}
-
-/// Registry counters worth snapshotting around one thread-runner run,
-/// paired with the metric-key suffix they are emitted under.
-inline const std::vector<std::pair<std::string, std::string>>&
-ThreadScalingCounters() {
-  static const std::vector<std::pair<std::string, std::string>> kCounters = {
-      {"mrs.pool.steals", "steals"},
-  };
-  return kCounters;
-}
-
-/// Snapshot the scaling counters before a run; pass the result to
-/// AppendCounterDeltas afterwards.
-inline std::vector<int64_t> SnapshotThreadCounters() {
-  std::vector<int64_t> values;
-  for (const auto& [name, suffix] : ThreadScalingCounters()) {
-    (void)suffix;
-    values.push_back(obs::Registry::Instance().GetCounter(name)->value());
-  }
-  return values;
-}
-
-/// Append "<prefix>_<suffix>" = current − before[i] for each scaling
-/// counter: the pool's steal activity CI archives alongside the timing
-/// curve in BENCH_thread.json.
-inline void AppendCounterDeltas(const std::string& prefix,
-                                const std::vector<int64_t>& before,
-                                std::vector<BenchMetric>* metrics) {
-  const auto& counters = ThreadScalingCounters();
-  for (size_t i = 0; i < counters.size() && i < before.size(); ++i) {
-    int64_t now =
-        obs::Registry::Instance().GetCounter(counters[i].first)->value();
-    metrics->push_back({prefix + "_" + counters[i].second,
-                        static_cast<double>(now - before[i])});
-  }
 }
 
 }  // namespace bench

@@ -230,8 +230,7 @@ int main(int argc, char** argv) {
   // (plus 8 on machines that have them).  Speedup is hardware-bound
   // (ideal on >=4 cores, ~1x on one core), so the emitted curve also
   // records thread_hw_concurrency — tools/check_scaling.py only enforces
-  // its floors where the cores exist.  The pool's steal count per run
-  // rides along.
+  // its floors where the cores exist.
   {
     std::string dir = JoinPath(*tmp, "subset");
     json_metrics.push_back(
@@ -242,7 +241,6 @@ int main(int argc, char** argv) {
     double base = -1;
     for (int workers : bench::ScalingWorkerCounts()) {
       size_t distinct = 0;
-      std::vector<int64_t> before = bench::SnapshotThreadCounters();
       double t = RunMrs("thread", dir, true, 4, &distinct, workers);
       if (workers == 1) base = t;
       double speedup = (t > 0 && base > 0) ? base / t : 0;
@@ -251,7 +249,6 @@ int main(int argc, char** argv) {
       std::string w = std::to_string(workers);
       json_metrics.push_back({"thread_w" + w + "_s", t});
       json_metrics.push_back({"thread_speedup_w" + w, speedup});
-      bench::AppendCounterDeltas("thread_w" + w, before, &json_metrics);
     }
     bench::PrintTable("Thread runner scaling (subset corpus)", scaling);
   }

@@ -2,8 +2,9 @@
 //
 // Mrs "defines several different implementations which define the run-time
 // behavior of a program" (paper §IV-A): master/slave, serial, mock
-// parallel, and bypass.  Two runners live in core: SerialRunner, which is
-// serial and — given a tmpdir — mock parallel, and ThreadRunner.  The
+// parallel, and bypass.  One local runner lives in core: SerialRunner,
+// which is serial, mock parallel given a tmpdir, and the thread runner
+// given a pool (ThreadRunner); all three run one stage loop.  The
 // master/slave runner lives in rt (it needs the RPC stack); bypass skips
 // the Job machinery entirely.
 //
@@ -12,7 +13,7 @@
 // but runs one task at a time on one thread, in a seeded *shuffled* order
 // — it simulates out-of-order scheduling for debugging without any real
 // concurrency.  The thread runner is true shared-memory parallelism:
-// tasks genuinely race on a work-stealing pool, so it exercises the
+// tasks genuinely race on a pool of worker threads, so it exercises the
 // thread-safety of program callbacks, which mock parallel cannot.
 //
 // Every runner turns an exception escaping user code into a failed task

@@ -290,12 +290,13 @@ Result<std::vector<Bucket>> ReduceSortedStream(MapReduce& program,
 }
 
 /// One sorted MergeSource per input bucket, in column order: a bucket of
-/// sorted runs streams them from disk; any other bucket (in memory, or
-/// FIFO runs, never reduce input in practice) gives up its records,
-/// sorted.
+/// sorted runs streams them from disk, through one descriptor per spill
+/// file; any other bucket (in memory, or FIFO runs, never reduce input in
+/// practice) gives up its records, sorted.
 Result<std::vector<std::unique_ptr<MergeSource>>> ColumnMergeSources(
     std::vector<Bucket>& column, const UrlFetcher& fetch) {
   std::vector<std::unique_ptr<MergeSource>> sources;
+  SharedSpillFiles files;
   for (Bucket& b : column) {
     bool all_sorted = b.spilled();
     for (const SpillRun& run : b.spill_runs()) all_sorted &= run.sorted;
@@ -305,7 +306,7 @@ Result<std::vector<std::unique_ptr<MergeSource>>> ColumnMergeSources(
       // source order only matters for determinism, which index tie-break
       // in the merger provides.
       for (const SpillRun& run : b.spill_runs()) {
-        sources.push_back(std::make_unique<SpillRunSource>(run));
+        sources.push_back(files.Source(run));
       }
       continue;
     }

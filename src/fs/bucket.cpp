@@ -48,8 +48,9 @@ Status Bucket::LoadFromRuns() {
   if (all_sorted) {
     std::vector<std::unique_ptr<MergeSource>> sources;
     sources.reserve(spill_runs_.size() + 1);
+    SharedSpillFiles files;
     for (const SpillRun& run : spill_runs_) {
-      sources.push_back(std::make_unique<SpillRunSource>(run));
+      sources.push_back(files.Source(run));
     }
     if (!tail.empty()) {
       std::stable_sort(tail.begin(), tail.end(), KeyValueLess);

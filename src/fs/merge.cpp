@@ -12,17 +12,50 @@
 #include "fs/bucket.h"
 #include "fs/file_io.h"
 #include "http/message.h"
+#include "net/fd.h"
 #include "obs/metrics.h"
 #include "ser/record.h"
 
 namespace mrs {
 
-SpillRunSource::SpillRunSource(SpillRun run, size_t buffer_bytes)
-    : run_(std::move(run)), buffer_bytes_(std::max<size_t>(buffer_bytes, 4096)) {}
+class SpillFileHandle {
+ public:
+  explicit SpillFileHandle(std::string path) : path_(std::move(path)) {}
 
-SpillRunSource::~SpillRunSource() {
-  if (fd_ >= 0) ::close(fd_);
+  /// The descriptor, opening the file on the first call that succeeds.  A
+  /// missing file is kNotFound.
+  Result<int> Get();
+
+ private:
+  std::string path_;
+  Fd fd_;
+};
+
+Result<int> SpillFileHandle::Get() {
+  if (!fd_.valid()) {
+    int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+      if (errno == ENOENT) {
+        return NotFoundError("spill run " + path_ + " missing");
+      }
+      return IoError("open " + path_ + ": " + std::strerror(errno));
+    }
+    fd_.Reset(fd);
+  }
+  return fd_.get();
 }
+
+SpillRunSource::SpillRunSource(SpillRun run, size_t buffer_bytes)
+    : run_(std::move(run)),
+      file_(std::make_shared<SpillFileHandle>(run_.path)),
+      buffer_bytes_(std::max<size_t>(buffer_bytes, 4096)) {}
+
+SpillRunSource::SpillRunSource(SpillRun run,
+                               std::shared_ptr<SpillFileHandle> file,
+                               size_t buffer_bytes)
+    : run_(std::move(run)),
+      file_(std::move(file)),
+      buffer_bytes_(std::max<size_t>(buffer_bytes, 4096)) {}
 
 Status SpillRunSource::Corrupt(const std::string& what) const {
   return DataLossError("spill run " + run_.path + "@" +
@@ -30,13 +63,7 @@ Status SpillRunSource::Corrupt(const std::string& what) const {
 }
 
 Status SpillRunSource::Open() {
-  fd_ = ::open(run_.path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd_ < 0) {
-    if (errno == ENOENT) {
-      return NotFoundError("spill run " + run_.path + " missing");
-    }
-    return IoError("open " + run_.path + ": " + std::strerror(errno));
-  }
+  MRS_ASSIGN_OR_RETURN(fd_, file_->Get());
 
   // Frame header: magic, varint count (always 1), length-prefixed id and
   // checksum, then the payload length prefix.  Ids and checksums are
@@ -243,6 +270,12 @@ Result<bool> LoserTreeMerger::Next(KeyValue* out) {
   }
   tree_[0] = s;
   return true;
+}
+
+std::unique_ptr<MergeSource> SharedSpillFiles::Source(const SpillRun& run) {
+  std::shared_ptr<SpillFileHandle>& file = files_[run.path];
+  if (!file) file = std::make_shared<SpillFileHandle>(run.path);
+  return std::make_unique<SpillRunSource>(run, file);
 }
 
 Result<std::vector<KeyValue>> MergeToVector(

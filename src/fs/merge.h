@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -48,6 +49,10 @@ class VectorSource : public MergeSource {
   size_t pos_ = 0;
 };
 
+/// A spill file's read-only descriptor, opened by the first read through
+/// it and closed with its last reader (fs/merge.cpp).
+class SpillFileHandle;
+
 /// Streams a spill run from disk in fixed-size chunks — memory stays
 /// O(buffer + one record) regardless of run size.  The first Next() opens
 /// the run's file, parses the frame header at the run's offset, and
@@ -59,8 +64,12 @@ class VectorSource : public MergeSource {
 /// end of the file, or a malformed record is kDataLoss.
 class SpillRunSource : public MergeSource {
  public:
+  /// Reads `run` through a descriptor of its own.
   explicit SpillRunSource(SpillRun run, size_t buffer_bytes = 64 * 1024);
-  ~SpillRunSource() override;
+  /// Reads `run` through `file`, a handle on `run.path` that other
+  /// sources may share (see SharedSpillFiles).
+  SpillRunSource(SpillRun run, std::shared_ptr<SpillFileHandle> file,
+                 size_t buffer_bytes = 64 * 1024);
 
   SpillRunSource(const SpillRunSource&) = delete;
   SpillRunSource& operator=(const SpillRunSource&) = delete;
@@ -75,8 +84,9 @@ class SpillRunSource : public MergeSource {
   Status Refill();
 
   SpillRun run_;
+  std::shared_ptr<SpillFileHandle> file_;
   size_t buffer_bytes_;
-  int fd_ = -1;
+  int fd_ = -1;  // file_'s descriptor, once open
   bool opened_ = false;
   Status open_status_;
   uint64_t records_left_ = 0;
@@ -84,6 +94,18 @@ class SpillRunSource : public MergeSource {
   uint64_t payload_left_ = 0;  // payload bytes not yet read into window_
   std::string window_;         // payload bytes read from the file
   size_t cursor_ = 0;          // window_ bytes before this are decoded
+};
+
+/// Makes the SpillRunSources of one merge.  Runs in the same file share
+/// one SpillFileHandle, so the merge holds one descriptor per spill file
+/// however many runs each file holds.  The sources own their handles and
+/// may outlive this object.
+class SharedSpillFiles {
+ public:
+  std::unique_ptr<MergeSource> Source(const SpillRun& run);
+
+ private:
+  std::unordered_map<std::string, std::shared_ptr<SpillFileHandle>> files_;
 };
 
 /// Stable k-way merge: repeatedly yields the smallest head record by

@@ -9,7 +9,7 @@
 //   mockparallel  same task decomposition, one task at a time (seeded
 //                 shuffled order), data via files
 //   thread        true shared-memory parallelism: tasks run concurrently
-//                 on a work-stealing pool of --mrs-workers threads
+//                 on a pool of --mrs-workers threads
 //   masterslave   in-process cluster: master + N slave threads over loopback
 //                 TCP + XML-RPC
 //   master        be a master: listen, write --mrs-port-file, wait for

@@ -1,15 +1,20 @@
 // Tests for the core MapReduce engine: programs, datasets, the shared task
 // executor (sort/group, combiner, partitioning), and the local runner in
-// its serial and mock-parallel forms.
+// its serial, mock-parallel and thread forms.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "common/strings.h"
 #include "core/job.h"
 #include "core/serial_runner.h"
+#include "core/thread_runner.h"
 #include "fs/file_io.h"
 #include "fs/spill.h"
 #include "obs/metrics.h"
@@ -398,21 +403,37 @@ TEST(Runners, DiscardFreesMockParallelFiles) {
   process.ResetForTest();
 }
 
-// A task that failed in one Wait runs again in the next, as on the thread
+// A task that failed in one Wait runs again in the next, on every local
 // runner, so a Wait that returns OK leaves every row complete.
 TEST(Runners, FailedTaskRunsAgainOnTheNextWait) {
-  for (bool mock : {false, true}) {
-    SCOPED_TRACE(mock ? "mockparallel" : "serial");
+  auto tmpdir = MakeTempDir("mrs_core_rerun_mock_");
+  ASSERT_TRUE(tmpdir.ok());
+  const struct {
+    const char* label;
+    std::function<std::unique_ptr<Runner>(MapReduce*)> make;
+  } runners[] = {
+      {"serial",
+       [](MapReduce* p) { return std::make_unique<SerialRunner>(p); }},
+      {"mockparallel",
+       [&](MapReduce* p) {
+         return std::make_unique<SerialRunner>(p, *tmpdir);
+       }},
+      {"thread W1",
+       [](MapReduce* p) { return std::make_unique<ThreadRunner>(p, 1); }},
+      {"thread W4",
+       [](MapReduce* p) { return std::make_unique<ThreadRunner>(p, 4); }},
+  };
+  for (const auto& runner : runners) {
+    SCOPED_TRACE(runner.label);
     CountProgram p;
     ASSERT_TRUE(p.Init(Options()).ok());
     auto dir = MakeTempDir("mrs_core_rerun_");
-    auto tmpdir = MakeTempDir("mrs_core_rerun_mock_");
-    ASSERT_TRUE(dir.ok() && tmpdir.ok());
+    ASSERT_TRUE(dir.ok());
     const std::string missing = JoinPath(*dir, "b.txt");
     ASSERT_TRUE(WriteFileAtomic(JoinPath(*dir, "a.txt"), "alpha beta\n").ok());
     ASSERT_TRUE(WriteFileAtomic(missing, "gamma\n").ok());
 
-    Job job(&p, std::make_unique<SerialRunner>(&p, mock ? *tmpdir : ""));
+    Job job(&p, runner.make(&p));
     auto input = job.FileData({*dir});
     ASSERT_TRUE(input.ok());
     DataSetPtr mapped = job.MapData(*input);
@@ -426,8 +447,55 @@ TEST(Runners, FailedTaskRunsAgainOnTheNextWait) {
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(out->size(), 3u);
     RemoveTree(*dir);
-    RemoveTree(*tmpdir);
   }
+  RemoveTree(*tmpdir);
+}
+
+// Records the thread every map and reduce call runs on.
+class ThreadRecordingProgram : public CountProgram {
+ public:
+  void Map(const Value& key, const Value& value,
+           const Emitter& emit) override {
+    Record();
+    CountProgram::Map(key, value, emit);
+  }
+  void Reduce(const Value& key, const ValueList& values,
+              const ValueEmitter& emit) override {
+    Record();
+    CountProgram::Reduce(key, values, emit);
+  }
+  std::set<std::thread::id> threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  void Record() {
+    std::lock_guard<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+  }
+  std::mutex mu_;
+  std::set<std::thread::id> threads_;
+};
+
+// Serial and mock parallel have no workers: every task runs on the thread
+// that calls Wait.
+TEST(Runners, SerialAndMockParallelRunEveryTaskOnTheWaitingThread) {
+  auto tmpdir = MakeTempDir("mrs_core_thread_id_");
+  ASSERT_TRUE(tmpdir.ok());
+  for (bool mock : {false, true}) {
+    SCOPED_TRACE(mock ? "mockparallel" : "serial");
+    ThreadRecordingProgram p;
+    ASSERT_TRUE(p.Init(Options()).ok());
+    auto counts = RunWithRunner(
+        std::make_unique<SerialRunner>(&p, mock ? *tmpdir : ""), &p, 4);
+    EXPECT_EQ(counts.at("fish"), 4);
+    EXPECT_GT(p.map_calls, 0);
+    EXPECT_GT(p.reduce_calls, 0);
+    EXPECT_EQ(p.threads(),
+              std::set<std::thread::id>{std::this_thread::get_id()});
+  }
+  RemoveTree(*tmpdir);
 }
 
 // Stands in for the master's lineage recovery: once a Wait has completed

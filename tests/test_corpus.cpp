@@ -1,11 +1,19 @@
 // Tests for the synthetic Gutenberg-like corpus generator.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <string>
 
 #include "common/strings.h"
 #include "corpus/corpus.h"
 #include "fs/file_io.h"
+
+#ifndef MRS_CORPUS_GEN_BINARY
+#define MRS_CORPUS_GEN_BINARY ""
+#endif
 
 namespace mrs {
 namespace {
@@ -153,6 +161,46 @@ TEST(Vocabulary, CommonWordsThenSynthetic) {
   EXPECT_EQ(VocabularyWord(0), "the");
   EXPECT_EQ(VocabularyWord(1), "of");
   EXPECT_EQ(VocabularyWord(1000), "w1000");
+}
+
+// ---- The corpus_gen command line -----------------------------------------
+
+/// Run corpus_gen with the shell-quoted `args` in `dir`, its output
+/// discarded; returns its exit code.
+int RunCorpusGen(const std::string& dir, const std::string& args) {
+  std::string command = "cd '" + dir + "' && '" MRS_CORPUS_GEN_BINARY "' " +
+                        args + " >/dev/null 2>&1";
+  int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST_F(CorpusTest, CommandLineRejectsFlagsAndBadCountsWithoutWriting) {
+  ASSERT_TRUE(FileExists(MRS_CORPUS_GEN_BINARY)) << MRS_CORPUS_GEN_BINARY;
+  const struct {
+    const char* args;
+    int exit_code;
+  } cases[] = {
+      {"--help", 0},
+      {"-h", 0},
+      {"out --help", 0},
+      {"", 2},
+      {"--bogus", 2},
+      {"out -5", 2},
+      {"out 3x", 2},
+      {"out ''", 2},
+      {"out 2147483648", 2},
+      {"out 10 20x", 2},
+      {"out 10 20 7seed", 2},
+      {"out 10 20 7 extra", 2},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string("corpus_gen ") + c.args);
+    EXPECT_EQ(RunCorpusGen(dir_, c.args), c.exit_code);
+    EXPECT_TRUE(std::filesystem::is_empty(dir_)) << "wrote under " << dir_;
+  }
+  // The same harness sees what a valid command line writes.
+  EXPECT_EQ(RunCorpusGen(dir_, "out 2 50 7"), 0);
+  EXPECT_FALSE(std::filesystem::is_empty(dir_));
 }
 
 }  // namespace

@@ -26,6 +26,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -930,6 +932,67 @@ TEST_F(SpillDirTest, BucketFifoSpillPreservesEmitOrder) {
   ASSERT_TRUE(bucket.SpillToRun(file, "f/1", /*sorted=*/false).ok());
   ASSERT_TRUE(bucket.EnsureLoaded(nullptr).ok());
   EXPECT_TRUE(bucket.records() == all);
+}
+
+/// Entries in /proc/self/fd: the descriptors this process holds open.
+size_t OpenDescriptors() {
+  auto entries = std::filesystem::directory_iterator("/proc/self/fd");
+  return static_cast<size_t>(std::distance(begin(entries), end(entries)));
+}
+
+/// Counts the process's open descriptors at its first reduce call, while
+/// the reduce task's merge is live, and the values it was handed.
+class DescriptorCountingReduce : public MapReduce {
+ public:
+  void Reduce(const Value& key, const ValueList& values,
+              const ValueEmitter& emit) override {
+    (void)key;
+    if (descriptors_in_merge == 0) descriptors_in_merge = OpenDescriptors();
+    values_seen += static_cast<int64_t>(values.size());
+    emit(Value(static_cast<int64_t>(values.size())));
+  }
+  size_t descriptors_in_merge = 0;
+  int64_t values_seen = 0;
+};
+
+// Every run of a task attempt lives in its one spill file, so a reduce
+// over K such buckets of M runs each opens K descriptors, not K x M.
+TEST_F(SpillDirTest, ReduceMergeHoldsOneDescriptorPerSpillFile) {
+  constexpr int kBuckets = 4;
+  constexpr int kRunsPerBucket = 6;
+  constexpr size_t kRecordsPerRun = 50;
+  std::mt19937 rng(707);
+  std::vector<Bucket> column;
+  for (int b = 0; b < kBuckets; ++b) {
+    Bucket bucket(b, 0);
+    SpillFile file(Path("attempt" + std::to_string(b) + ".mrsk"));
+    for (int r = 0; r < kRunsPerBucket; ++r) {
+      for (KeyValue& kv : MakeRecords(rng, kRecordsPerRun, /*alphabet=*/8)) {
+        bucket.Append(std::move(kv));
+      }
+      ASSERT_TRUE(bucket
+                      .SpillToRun(file, "b" + std::to_string(b) + "/" +
+                                            std::to_string(r),
+                                  /*sorted=*/true)
+                      .ok());
+    }
+    ASSERT_TRUE(file.Sync().ok());
+    file.Keep();  // the writer's descriptor closes with `file`
+    column.push_back(std::move(bucket));
+  }
+
+  DescriptorCountingReduce program;
+  ASSERT_TRUE(program.Init(Options()).ok());
+  const size_t before = OpenDescriptors();
+  auto row = RunTaskOnBuckets(program, DataSetKind::kReduce, DataSetOptions(),
+                              /*num_splits=*/1, std::move(column), LocalFetch,
+                              /*spill=*/nullptr);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(program.values_seen,
+            int64_t{kBuckets} * kRunsPerBucket *
+                static_cast<int64_t>(kRecordsPerRun));
+  EXPECT_EQ(program.descriptors_in_merge - before, size_t{kBuckets});
+  EXPECT_EQ(OpenDescriptors(), before) << "the merge left a descriptor open";
 }
 
 // ---- DistSort invariants -------------------------------------------------

@@ -1,13 +1,15 @@
-// Tests for the thread implementation: the work-stealing pool's claim /
-// steal / drain semantics, and ThreadRunner's determinism, multi-stage
-// chains, and failure behavior (an exception on a worker must surface as
-// a Status; a failed chain must not hang Wait).
+// Tests for the thread implementation: the FIFO pool's scheduling and
+// drain semantics, and ThreadRunner's determinism, multi-stage chains, and
+// failure behavior (an exception on a worker must surface as a Status; a
+// failed chain must not hang Wait).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -26,10 +28,12 @@ void SpinUntil(const std::atomic<bool>& flag) {
   }
 }
 
-// ---- WorkStealingPool ----------------------------------------------------
+// ---- ThreadPool ----------------------------------------------------------
+// The cases that predate the FIFO pool keep their suite name, the pool's
+// former name WorkStealingPool, so their test names stay stable.
 
 TEST(WorkStealingPool, RunsEverySubmittedTask) {
-  WorkStealingPool pool(4);
+  ThreadPool pool(4);
   std::atomic<int> ran{0};
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(pool.Submit([&] { ran.fetch_add(1); }));
@@ -39,7 +43,7 @@ TEST(WorkStealingPool, RunsEverySubmittedTask) {
 }
 
 TEST(WorkStealingPool, ShutdownDrainsQueuedTasksAndRejectsNewOnes) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   std::atomic<int> ran{0};
   // Tasks slow enough that most are still queued when Shutdown is called
   // mid-job: Shutdown must run them all before joining, not drop them.
@@ -56,44 +60,60 @@ TEST(WorkStealingPool, ShutdownDrainsQueuedTasksAndRejectsNewOnes) {
   EXPECT_EQ(ran.load(), 20);
 }
 
-TEST(WorkStealingPool, StealsFromABlockedWorker) {
-  WorkStealingPool pool(2);
-  // Pin both workers on gates (external submits distribute round-robin,
-  // so one gate lands on each worker), then queue quick tasks behind
-  // them and release only worker 0: the tasks queued on still-blocked
-  // worker 1 can complete only by being stolen.
-  std::atomic<bool> gate_a_running{false}, gate_b_running{false};
-  std::atomic<bool> release_a{false}, release_b{false};
+TEST(ThreadPool, TasksQueuedBehindAPinnedWorkerRunOnTheOther) {
+  ThreadPool pool(2);
+  // Pin one worker in a long task, then queue quick tasks behind it: the
+  // other worker must run every one of them while the first stays pinned.
+  std::atomic<bool> pinned{false}, release{false};
+  std::thread::id pinned_worker;
   ASSERT_TRUE(pool.Submit([&] {
-    gate_a_running.store(true, std::memory_order_release);
-    SpinUntil(release_a);
+    pinned_worker = std::this_thread::get_id();
+    pinned.store(true, std::memory_order_release);
+    SpinUntil(release);
   }));
-  ASSERT_TRUE(pool.Submit([&] {
-    gate_b_running.store(true, std::memory_order_release);
-    SpinUntil(release_b);
-  }));
-  SpinUntil(gate_a_running);
-  SpinUntil(gate_b_running);
+  SpinUntil(pinned);
 
-  std::atomic<int> quick{0};
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(pool.Submit([&] { quick.fetch_add(1); }));
+  constexpr int kTasks = 8;
+  std::vector<std::thread::id> ran_on(kTasks);
+  std::atomic<int> done{0};
+  for (int i = 0; i < kTasks; ++i) {
+    ASSERT_TRUE(pool.Submit([&, i] {
+      ran_on[static_cast<size_t>(i)] = std::this_thread::get_id();
+      done.fetch_add(1);
+    }));
   }
-  release_a.store(true, std::memory_order_release);
-  while (quick.load() < 4) std::this_thread::yield();
-
-  EXPECT_GE(pool.steal_count(), 1);
-  release_b.store(true, std::memory_order_release);
+  while (done.load() < kTasks) std::this_thread::yield();
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_NE(id, pinned_worker);
+    EXPECT_EQ(id, ran_on[0]);
+  }
+  release.store(true, std::memory_order_release);
   pool.Shutdown();
+}
+
+TEST(ThreadPool, OneWorkerRunsTasksInSubmissionOrder) {
+  ThreadPool pool(1);
+  // Hold the worker until every task is queued, so the order it runs them
+  // in is the queue's order alone.
+  std::atomic<bool> release{false};
+  ASSERT_TRUE(pool.Submit([&] { SpinUntil(release); }));
+  std::vector<int> order;  // written by the one worker only
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(pool.Submit([&order, i] { order.push_back(i); }));
+  }
+  release.store(true, std::memory_order_release);
+  pool.Shutdown();
+  std::vector<int> submitted(50);
+  std::iota(submitted.begin(), submitted.end(), 0);
+  EXPECT_EQ(order, submitted);
 }
 
 TEST(WorkStealingPool, QueueDepthGaugeTracksOutstandingTasks) {
   // The mrs.pool.queue_depth gauge must count every submitted-but-not-
-  // finished task — queued AND executing, own-deque and stolen alike —
-  // not just pushes onto a worker's own deque.
+  // finished task, queued AND executing.
   obs::Gauge* gauge =
       obs::Registry::Instance().GetGauge("mrs.pool.queue_depth");
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   std::atomic<bool> gate_a_running{false}, gate_b_running{false};
   std::atomic<bool> release{false};
   ASSERT_TRUE(pool.Submit([&] {
@@ -121,13 +141,15 @@ TEST(WorkStealingPool, QueueDepthGaugeTracksOutstandingTasks) {
 }
 
 TEST(WorkStealingPool, TasksSubmittedFromWorkersRun) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   std::atomic<int> ran{0};
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(pool.Submit([&, i] {
-      // Submitted from a worker, so it lands on this worker's own deque;
-      // the pool is still open (Shutdown comes after the spin below).
-      if (i % 2 == 0) EXPECT_TRUE(pool.Submit([&] { ran.fetch_add(1); }));
+      // Submitted from a worker; the pool is still open (Shutdown comes
+      // after the spin below).
+      if (i % 2 == 0) {
+        EXPECT_TRUE(pool.Submit([&] { ran.fetch_add(1); }));
+      }
       ran.fetch_add(1);
     }));
   }
@@ -234,9 +256,8 @@ TEST(ThreadRunner, MultiStageChainRunsInOneWait) {
 
 // A map whose cost is wildly skewed: the "blocker" record spins until
 // every other map task has finished, so the worker that claims it is
-// pinned and the remaining tasks can only proceed on (or be stolen by)
-// the other workers.  Completion proves the pool schedules around a
-// pinned worker.
+// pinned and the remaining tasks can only proceed on the other workers.
+// Completion proves the pool schedules around a pinned worker.
 class SkewedMap : public MapReduce {
  public:
   std::atomic<int> quick_done{0};
