@@ -205,7 +205,8 @@ void AddStandardMrsOptions(OptionParser* parser) {
               "hardware concurrency",
               "0");
   parser->Add("mrs-tmpdir", 'T', true,
-              "directory for intermediate data (mockparallel/masterslave)");
+              "mockparallel: directory for the task attempts' spill files "
+              "(default: a fresh temporary directory)");
   parser->Add("mrs-seed", 'S', true,
               "program random seed for the random(...) stream API", "42");
   parser->Add("mrs-output", 'o', true,

@@ -28,7 +28,7 @@ using DataSetPtr = std::shared_ptr<DataSet>;
 
 enum class DataSetKind {
   kLocal,   // literal records provided by the program (1 source)
-  kFile,    // text files on disk, one split per file, loaded lazily
+  kFile,    // text files on disk, one split per file: a text+file:// bucket
   kMap,     // map operation over an input dataset
   kReduce,  // sort+group+reduce over an input dataset
 };
@@ -138,12 +138,6 @@ class DataSet {
   /// The rejection status (Ok when not rejected).
   Status rejected_status() const;
 
-  /// File-backed datasets: the path for each split (kFile only).
-  const std::vector<std::string>& file_paths() const { return file_paths_; }
-  void set_file_paths(std::vector<std::string> paths) {
-    file_paths_ = std::move(paths);
-  }
-
   /// Job::Discard: drop all in-memory records and delete the spill files
   /// its rows' runs live in.  Urls and run metadata stay, so a late read
   /// fails instead of seeing an empty bucket.  Destruction deletes the
@@ -161,7 +155,6 @@ class DataSet {
   const int num_splits_;
   DataSetOptions options_;
   DataSetPtr input_;
-  std::vector<std::string> file_paths_;
   std::atomic<bool> resident_{false};
 
   mutable Mutex mutex_;

@@ -66,7 +66,11 @@ Result<DataSetPtr> Job::FileData(const std::vector<std::string>& paths) {
   auto ds = std::make_shared<DataSet>(NextId(), DataSetKind::kFile,
                                       /*num_sources=*/1,
                                       static_cast<int>(files.size()));
-  ds->set_file_paths(std::move(files));
+  // Split i is one bucket that EnsureLoaded reads as (line number, line)
+  // records when a task or Collect needs it.
+  for (size_t i = 0; i < files.size(); ++i) {
+    ds->bucket(0, static_cast<int>(i)).set_url("text+file://" + files[i]);
+  }
   ds->set_task_state(0, TaskState::kComplete);
   return ds;
 }
@@ -113,15 +117,6 @@ Result<std::vector<KeyValue>> Job::Collect(const DataSetPtr& dataset) {
   MRS_RETURN_IF_ERROR(Wait(dataset));
   UrlFetcher fetch = runner_->fetcher();
   std::vector<KeyValue> out;
-  if (dataset->kind() == DataSetKind::kFile) {
-    for (int split = 0; split < dataset->num_splits(); ++split) {
-      MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> recs,
-                           ReadFileSplit(*dataset, split));
-      out.insert(out.end(), std::make_move_iterator(recs.begin()),
-                 std::make_move_iterator(recs.end()));
-    }
-    return out;
-  }
   for (int split = 0; split < dataset->num_splits(); ++split) {
     for (int source = 0; source < dataset->num_sources(); ++source) {
       MRS_RETURN_IF_ERROR(CollectBucket(dataset, source, split, fetch, &out));

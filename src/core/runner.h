@@ -9,7 +9,8 @@
 // the Job machinery entirely.
 //
 // Mock parallel vs thread: mock parallel keeps the master/slave task
-// decomposition and data movement (intermediate buckets go through files)
+// decomposition and data movement (intermediate rows go through spill
+// files)
 // but runs one task at a time on one thread, in a seeded *shuffled* order
 // — it simulates out-of-order scheduling for debugging without any real
 // concurrency.  The thread runner is true shared-memory parallelism:
@@ -57,7 +58,7 @@ class Runner {
   virtual std::string name() const = 0;
 
   /// Called when the program is done with a dataset; runners release its
-  /// records, spill files and persisted intermediate files.
+  /// records and spill files.
   virtual void Discard(const DataSetPtr& dataset) { dataset->Discard(); }
 };
 

@@ -8,7 +8,6 @@
 
 #include "common/mutex.h"
 #include "core/program.h"
-#include "fs/file_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rng/mt19937_64.h"
@@ -58,7 +57,6 @@ Status SerialRunner::Wait(const DataSetPtr& dataset) {
   std::vector<int> sources(static_cast<size_t>(dataset->num_sources()));
   std::iota(sources.begin(), sources.end(), 0);
   if (mock_parallel()) {
-    MRS_RETURN_IF_ERROR(EnsureDir(DataSetDir(*dataset)));
     // A correct program must not depend on task execution order (in the
     // master/slave and thread implementations it is nondeterministic), and
     // running tasks shuffled — but reproducibly — flushes out such bugs
@@ -107,11 +105,10 @@ Status SerialRunner::ExecuteTask(DataSet& dataset, int source) {
       obs::Registry::Instance().GetCounter("mrs.mock.tasks");
   static obs::Counter* thread_tasks =
       obs::Registry::Instance().GetCounter("mrs.thread.tasks");
-  const std::string ds_dir = DataSetDir(dataset);
   // A failed attempt's spill file goes with its context; a completed one
-  // belongs to the row SetRow stores.
+  // belongs to the row SetRow stores.  Mock parallel always has one.
   std::optional<TaskSpillContext> spill =
-      NewTaskSpillContext(name(), dataset.id(), source, ds_dir);
+      NewTaskSpillContext(name(), dataset.id(), source, tmpdir_);
   obs::ScopedSpan span(dataset.options().op_name,
                        dataset.kind() == DataSetKind::kMap ? "map"
                                                            : "reduce");
@@ -122,33 +119,22 @@ Status SerialRunner::ExecuteTask(DataSet& dataset, int source) {
                                 spill ? &*spill : nullptr);
       }));
   if (mock_parallel()) {
-    // Persist each bucket, then drop its records: downstream tasks must
-    // read the files, as a distributed fault-tolerant run would.  A
-    // spilled bucket is already disk-backed by its runs — persisting it
-    // again would defeat the memory bound it exists to honor.
-    for (int p = 0; p < dataset.num_splits(); ++p) {
-      Bucket& b = row[static_cast<size_t>(p)];
-      if (b.spilled()) continue;
-      MRS_RETURN_IF_ERROR(b.PersistToFile(
-          JoinPath(ds_dir, "source_" + std::to_string(source) + "_split_" +
-                               std::to_string(p) + ".mrsb")));
-      b.Evict();
+    // Downstream tasks must read the row from disk, as a distributed
+    // fault-tolerant run would: every bucket still in memory becomes a
+    // FIFO run of the attempt's spill file (a spilled bucket already is
+    // runs only; an empty one writes nothing).
+    for (Bucket& b : row) {
+      if (b.records().empty()) continue;
+      MRS_RETURN_IF_ERROR(b.SpillToRun(
+          *spill->file, spill->id_prefix + "/" + std::to_string(b.split()),
+          /*sorted=*/false));
     }
+    MRS_RETURN_IF_ERROR(spill->file->Sync());
   }
   dataset.SetRow(source, std::move(row), spill ? spill->file.get() : nullptr);
   if (spill) spill->file->Keep();
   (pool_ ? thread_tasks : mock_parallel() ? mock_tasks : serial_tasks)->Inc();
   return Status::Ok();
-}
-
-std::string SerialRunner::DataSetDir(const DataSet& dataset) const {
-  if (!mock_parallel()) return "";
-  return JoinPath(tmpdir_, "dataset_" + std::to_string(dataset.id()));
-}
-
-void SerialRunner::Discard(const DataSetPtr& dataset) {
-  if (mock_parallel()) RemoveTree(DataSetDir(*dataset));
-  dataset->Discard();
 }
 
 }  // namespace mrs

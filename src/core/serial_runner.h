@@ -12,10 +12,11 @@
 // performs all computation on a single processor.  Intermediate data
 // between tasks is saved to files which can be helpful for debugging"
 // (paper §IV-A).  Two things change:
-//  * every completed task row is persisted into the tmpdir and evicted
-//    from memory, so all downstream reads exercise the file path — the
-//    data movement a fault-tolerant distributed run performs, minus the
-//    network;
+//  * every completed task row is kept on disk, not in memory: its buckets
+//    become FIFO runs (emit order kept) of the task attempt's spill file
+//    in the tmpdir, one file and one fsync per attempt, so all downstream
+//    reads exercise the on-disk path — the data movement a fault-tolerant
+//    distributed run performs, minus the network;
 //  * tasks within a dataset execute in a seeded shuffled order (derived
 //    from the program seed and dataset id), approximating the out-of-order
 //    completion of a real cluster while staying fully reproducible.
@@ -63,9 +64,9 @@ class MapReduce;
 class SerialRunner : public Runner {
  public:
   /// An empty `tmpdir` selects serial.  Otherwise `tmpdir` must exist and
-  /// the runner is mock parallel: intermediate data goes to
-  /// `<tmpdir>/dataset_<id>/source_<s>_split_<p>.mrsb`, and each task
-  /// attempt's spill file sits beside those files.
+  /// the runner is mock parallel: each task attempt's spill file,
+  /// `<tmpdir>/mockparallel_ds<id>_t<source>_<n>.mrsk`, holds its row.
+  /// Discarding a dataset deletes its files.
   explicit SerialRunner(MapReduce* program, std::string tmpdir = "")
       : program_(program), tmpdir_(std::move(tmpdir)) {}
 
@@ -75,7 +76,6 @@ class SerialRunner : public Runner {
   std::string name() const override {
     return pool_ ? "thread" : mock_parallel() ? "mockparallel" : "serial";
   }
-  void Discard(const DataSetPtr& dataset) override;
 
  protected:
   /// The thread runner: tasks run on a pool of `num_workers` threads.
@@ -87,14 +87,12 @@ class SerialRunner : public Runner {
   struct Stage;
 
   bool mock_parallel() const { return !tmpdir_.empty(); }
-  /// `<tmpdir>/dataset_<id>` under mock parallel; empty otherwise.
-  std::string DataSetDir(const DataSet& dataset) const;
   /// Run task `source` of `dataset` and store its row, unless a task of
   /// the same stage has failed: then the task stays pending.
   void RunTask(DataSet& dataset, int source, Stage* stage);
-  /// Run claimed task `source` of `dataset`, persist and evict its
-  /// buckets under mock parallel, and store its row.  User exceptions
-  /// come back as a Status.
+  /// Run claimed task `source` of `dataset`, move its buckets to runs
+  /// under mock parallel, and store its row.  User exceptions come back
+  /// as a Status.
   Status ExecuteTask(DataSet& dataset, int source);
 
   MapReduce* program_;

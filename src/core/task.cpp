@@ -33,7 +33,7 @@ std::optional<TaskSpillContext> NewTaskSpillContext(const std::string& label,
                                                     int dataset_id, int source,
                                                     const std::string& parent) {
   MemoryBudget& budget = MemoryBudget::Process();
-  if (!budget.active()) return std::nullopt;
+  if (!budget.active() && parent.empty()) return std::nullopt;
   Result<std::string> path = NewSpillFilePath(
       label + "_ds" + std::to_string(dataset_id) + "_t" +
           std::to_string(source),
@@ -49,69 +49,28 @@ Result<std::string> LocalFetch(const std::string& url) {
     return ReadFileToString(url.substr(7));
   }
   if (StartsWith(url, "text+file://")) {
-    // Handled by LoadTaskInput; raw content here.
+    // Raw text; Bucket::EnsureLoaded reads these URLs as lines itself.
     return ReadFileToString(url.substr(12));
   }
   return InvalidArgumentError("LocalFetch cannot resolve url: " + url);
 }
 
-namespace {
-Result<std::vector<KeyValue>> FetchUrlRecords(const std::string& url,
-                                              const UrlFetcher& fetch) {
-  if (StartsWith(url, "text+file://")) {
-    MRS_ASSIGN_OR_RETURN(std::string raw,
-                         ReadFileToString(url.substr(12)));
-    return LinesToRecords(raw);
-  }
-  if (!fetch) return FailedPreconditionError("no fetcher for url " + url);
-  MRS_ASSIGN_OR_RETURN(std::string raw, fetch(url));
-  // A spilled bucket is served as an mrsk1 frame set (one frame per run);
-  // DecodeBucketBody auto-detects.  Decode failures carry the url so the
-  // slave's failure report can name the bad input for lineage recovery.
-  Result<std::vector<KeyValue>> decoded = DecodeBucketBody(raw);
-  if (!decoded.ok()) {
-    return DataLossError("bucket " + url + " payload corrupt after " +
-                         std::to_string(raw.size()) +
-                         " bytes: " + decoded.status().message());
-  }
-  return decoded;
-}
-}  // namespace
-
-Result<std::vector<KeyValue>> LoadTaskInput(
-    const std::vector<TaskInputPart>& parts, const UrlFetcher& fetch) {
-  std::vector<KeyValue> out;
-  for (const TaskInputPart& part : parts) {
-    if (part.inline_records) {
-      out.insert(out.end(), part.records.begin(), part.records.end());
+std::vector<Bucket> InputColumn(const std::vector<TaskInputPart>& parts) {
+  std::vector<Bucket> column(parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i].inline_records) {
+      *column[i].mutable_records() = parts[i].records;
+      column[i].MarkLoaded();
     } else {
-      MRS_ASSIGN_OR_RETURN(std::vector<KeyValue> recs,
-                           FetchUrlRecords(part.url, fetch));
-      out.insert(out.end(), std::make_move_iterator(recs.begin()),
-                 std::make_move_iterator(recs.end()));
+      column[i].set_url(parts[i].url);
     }
   }
-  return out;
-}
-
-Result<std::vector<KeyValue>> ReadFileSplit(const DataSet& file_ds,
-                                            int split) {
-  if (split < 0 || split >= file_ds.num_splits()) {
-    return OutOfRangeError("input split out of range");
-  }
-  MRS_ASSIGN_OR_RETURN(std::string raw,
-                       ReadFileToString(file_ds.file_paths().at(split)));
-  return LinesToRecords(raw);
+  return column;
 }
 
 Result<std::vector<TaskInputPart>> BuildTaskInputParts(DataSet& input_ds,
                                                        int split) {
   std::vector<TaskInputPart> parts;
-  if (input_ds.kind() == DataSetKind::kFile) {
-    parts.push_back(
-        TaskInputPart::Url("text+file://" + input_ds.file_paths().at(split)));
-    return parts;
-  }
   for (int s = 0; s < input_ds.num_sources(); ++s) {
     Bucket& b = input_ds.bucket(s, split);
     if (!b.url().empty()) {
@@ -291,29 +250,39 @@ Result<std::vector<Bucket>> ReduceSortedStream(MapReduce& program,
 
 /// One sorted MergeSource per input bucket, in column order: a bucket of
 /// sorted runs streams them from disk, through one descriptor per spill
-/// file; any other bucket (in memory, or FIFO runs, never reduce input in
-/// practice) gives up its records, sorted.
+/// file.  Under an enabled spill context, a bucket read by URL is first
+/// staged as one sorted run of the attempt's spill file, so only one
+/// fetched bucket is resident at a time; any other bucket (in memory, or
+/// FIFO runs) gives up its records, sorted.
 Result<std::vector<std::unique_ptr<MergeSource>>> ColumnMergeSources(
-    std::vector<Bucket>& column, const UrlFetcher& fetch) {
+    std::vector<Bucket>& column, const UrlFetcher& fetch,
+    const TaskSpillContext* spill) {
   std::vector<std::unique_ptr<MergeSource>> sources;
   SharedSpillFiles files;
-  for (Bucket& b : column) {
+  for (size_t i = 0; i < column.size(); ++i) {
+    Bucket& b = column[i];
     bool all_sorted = b.spilled();
     for (const SpillRun& run : b.spill_runs()) all_sorted &= run.sorted;
-    if (all_sorted) {
-      // Stream each sorted run straight from disk.  Runs join in write
-      // order; equal records are byte-identical (multiset semantics), so
-      // source order only matters for determinism, which index tie-break
-      // in the merger provides.
-      for (const SpillRun& run : b.spill_runs()) {
-        sources.push_back(files.Source(run));
+    if (!all_sorted) {
+      const bool by_url = !b.loaded() && !b.spilled() && !b.url().empty();
+      MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
+      if (!by_url || spill == nullptr || !spill->enabled()) {
+        std::vector<KeyValue> recs = std::move(*b.mutable_records());
+        std::stable_sort(recs.begin(), recs.end(), KeyValueLess);
+        sources.push_back(std::make_unique<VectorSource>(std::move(recs)));
+        continue;
       }
-      continue;
+      MRS_RETURN_IF_ERROR(b.SpillToRun(
+          *spill->file, spill->id_prefix + "/in" + std::to_string(i),
+          /*sorted=*/true));
     }
-    MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
-    std::vector<KeyValue> recs = std::move(*b.mutable_records());
-    std::stable_sort(recs.begin(), recs.end(), KeyValueLess);
-    sources.push_back(std::make_unique<VectorSource>(std::move(recs)));
+    // Stream each sorted run straight from disk.  Runs join in write
+    // order; equal records are byte-identical (multiset semantics), so
+    // source order only matters for determinism, which index tie-break
+    // in the merger provides.
+    for (const SpillRun& run : b.spill_runs()) {
+      sources.push_back(files.Source(run));
+    }
   }
   return sources;
 }
@@ -391,20 +360,12 @@ Result<std::vector<Bucket>> RunTaskOnDataSet(MapReduce& program, DataSet& ds,
                                              int split, const UrlFetcher& fetch,
                                              const TaskSpillContext* spill) {
   DataSet& in = *ds.input();
+  if (split < 0 || split >= in.num_splits()) {
+    return OutOfRangeError("input split out of range");
+  }
   std::vector<Bucket> column;
-  if (in.kind() == DataSetKind::kFile) {
-    // A file split is a one-bucket column of (line number, line) records.
-    column.emplace_back();
-    MRS_ASSIGN_OR_RETURN(*column[0].mutable_records(),
-                         ReadFileSplit(in, split));
-    column[0].MarkLoaded();
-  } else {
-    if (split < 0 || split >= in.num_splits()) {
-      return OutOfRangeError("input split out of range");
-    }
-    for (int s = 0; s < in.num_sources(); ++s) {
-      column.push_back(in.bucket(s, split));
-    }
+  for (int s = 0; s < in.num_sources(); ++s) {
+    column.push_back(in.bucket(s, split));
   }
   return RunTaskOnBuckets(program, ds.kind(), ds.options(), ds.num_splits(),
                           std::move(column), fetch, spill);
@@ -426,7 +387,7 @@ Result<std::vector<Bucket>> RunTaskOnBuckets(MapReduce& program,
     for (const Bucket& b : column) merge |= b.spilled();
     if (merge) {
       MRS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<MergeSource>> sources,
-                           ColumnMergeSources(column, fetch));
+                           ColumnMergeSources(column, fetch, spill));
       return ReduceMergedSources(program, options, num_splits,
                                  std::move(sources), spill);
     }

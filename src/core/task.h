@@ -5,14 +5,17 @@
 // funnels through RunTaskOnBuckets (directly, or via RunTaskOnDataSet),
 // which is how Mrs guarantees that all implementations "produce identical
 // answers" (paper §IV-A): only the scheduling and data movement differ,
-// never the computation.  It is the one column-to-row body, the only code
-// that chooses whether a reduce merges its input column or sorts it in
-// memory.  Below it, every map and reduce writes its output through one
-// row writer (partition, budget charge, spill, tail flush, one fsync) and
-// every reduce groups its sorted input with one loop.  Each runner takes
-// its spill context from NewTaskSpillContext and guards user code with
-// CatchUserExceptions, so budgets and failures behave the same on every
-// runner.
+// never the computation.  Every task reads a column of Buckets, whatever
+// its input: a column of a local dataset, a file split (one text+file://
+// bucket), or a slave's assignment (InputColumn).  RunTaskOnBuckets is the
+// one column-to-row body and the only code that chooses how a reduce
+// reads its column; Bucket::EnsureLoaded is the only code that turns a
+// URL into records.  Below it, every map and reduce writes its output
+// through one row writer (partition, budget charge, spill, tail flush, one
+// fsync) and every reduce groups its sorted input with one loop.  Each
+// runner takes its spill context from NewTaskSpillContext and guards user
+// code with CatchUserExceptions, so budgets and failures behave the same
+// on every runner.
 #pragma once
 
 #include <exception>
@@ -33,8 +36,9 @@
 namespace mrs {
 
 /// Where and whether a task attempt may spill its output buckets
-/// (fs/spill.h).  A null/inactive context reproduces the pre-spill
-/// behavior exactly.
+/// (fs/spill.h).  A null or disabled context never spills; a disabled one
+/// still names the attempt's spill file (mock parallel keeps its rows
+/// there).
 struct TaskSpillContext {
   std::unique_ptr<SpillFile> file;  // the attempt's one spill file
   std::string id_prefix;            // frame-id prefix, "<dataset>/<source>"
@@ -50,8 +54,9 @@ struct TaskSpillContext {
 /// (SpillRoot() when empty), created by the attempt's first run, and the
 /// task's frame-id prefix.  The file is deleted with the context unless
 /// the runner keeps it (SpillFile::Keep) for the row that references its
-/// runs, so a failed attempt leaves no spill data behind.  Nullopt when
-/// the process MemoryBudget is inactive, or when SpillRoot() cannot be
+/// runs, so a failed attempt leaves no spill data behind.  The context is
+/// enabled while the process MemoryBudget is active.  Nullopt when the
+/// budget is inactive and `parent` is empty, or when SpillRoot() cannot be
 /// made — the task then runs in memory, over budget but correct.
 std::optional<TaskSpillContext> NewTaskSpillContext(
     const std::string& label, int dataset_id, int source,
@@ -78,12 +83,11 @@ auto CatchUserExceptions(const char* where, Fn&& fn) -> decltype(fn()) {
 /// faults.
 using UrlFetcher = std::function<Result<std::string>(const std::string&)>;
 
-/// A fetcher handling file:// and text+file:// URLs only (local).
+/// A fetcher handling file:// and text+file:// URLs only (local), raw.
 Result<std::string> LocalFetch(const std::string& url);
 
-/// One input part for a task: either inline records or a URL to fetch.
-/// URL schemes: "file://" (binary/text records), "http://" (ditto, remote),
-/// "text+file://" (raw text, converted line-by-line to (lineno, line)).
+/// One input part of a slave's task assignment: either inline records or
+/// a URL (any scheme Bucket::EnsureLoaded reads).
 struct TaskInputPart {
   std::vector<KeyValue> records;
   std::string url;
@@ -102,13 +106,9 @@ struct TaskInputPart {
   }
 };
 
-/// Fetch and concatenate all parts, in order.
-Result<std::vector<KeyValue>> LoadTaskInput(
-    const std::vector<TaskInputPart>& parts, const UrlFetcher& fetch);
-
-/// Read split `split` of file dataset `file_ds` as (line number, line)
-/// records: a map task's input column, and what Collect returns for it.
-Result<std::vector<KeyValue>> ReadFileSplit(const DataSet& file_ds, int split);
+/// The input column of an assignment's `parts`, in order: an inline part
+/// is a loaded bucket, a URL part a bucket that EnsureLoaded reads.
+std::vector<Bucket> InputColumn(const std::vector<TaskInputPart>& parts);
 
 /// Build URL/inline input parts for a remote task (master side).  Buckets
 /// that have URLs are passed by reference; in-memory-only buckets are
@@ -149,19 +149,21 @@ Result<std::vector<Bucket>> ReduceMergedSources(
 
 /// Run task `split` against its input dataset — the local runners' whole
 /// task body: RunTaskOnBuckets over a copy of column `split` (the dataset
-/// keeps its buckets), or over the split's lines for a file dataset.
+/// keeps its buckets).
 Result<std::vector<Bucket>> RunTaskOnDataSet(MapReduce& program, DataSet& ds,
                                              int split, const UrlFetcher& fetch,
                                              const TaskSpillContext* spill);
 
 /// The one column-to-row body: runs a `kind` task over the input column
-/// it owns (a copy of a local dataset's column, a slave's fetched input),
+/// it owns (a copy of a local dataset's column, a slave's InputColumn),
 /// moving the buckets' records into the task.  It is the only code that
 /// chooses how a reduce reads its column: when any bucket spilled or the
 /// task may spill itself, ReduceMergedSources streams the merge of the
-/// column's sorted runs and sorted in-memory buckets, and the full input
-/// is never materialized; otherwise RunReduceTask sorts the concatenated
-/// column in memory.  A map task reads the column concatenated in order.
+/// column's sorted runs and sorted in-memory buckets — a bucket read by
+/// URL is first staged as one sorted run of the attempt's spill file when
+/// the context is enabled — and the full input is never materialized;
+/// otherwise RunReduceTask sorts the concatenated column in memory.  A map
+/// task reads the column concatenated in order.
 Result<std::vector<Bucket>> RunTaskOnBuckets(MapReduce& program,
                                              DataSetKind kind,
                                              const DataSetOptions& options,

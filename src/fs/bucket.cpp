@@ -12,12 +12,6 @@
 
 namespace mrs {
 
-Status Bucket::PersistToFile(const std::string& path) {
-  MRS_RETURN_IF_ERROR(WriteFileAtomic(path, EncodeBinaryRecords(records_)));
-  url_ = "file://" + path;
-  return Status::Ok();
-}
-
 Status Bucket::SpillToRun(SpillFile& file, const std::string& id,
                           bool sorted) {
   if (sorted) {
@@ -71,7 +65,7 @@ Status Bucket::LoadFromRuns() {
 }
 
 Status Bucket::EnsureLoaded(
-    const std::function<Result<std::string>(const std::string&)>& http_fetch) {
+    const std::function<Result<std::string>(const std::string&)>& fetch) {
   if (loaded_) return Status::Ok();
   if (!spill_runs_.empty()) return LoadFromRuns();
   if (url_.empty()) {
@@ -80,20 +74,22 @@ Status Bucket::EnsureLoaded(
     loaded_ = true;
     return Status::Ok();
   }
-  std::string raw;
-  if (StartsWith(url_, "file://")) {
-    MRS_ASSIGN_OR_RETURN(raw, ReadFileToString(url_.substr(7)));
-  } else if (StartsWith(url_, "http://")) {
-    if (!http_fetch) {
-      return FailedPreconditionError("no http fetcher for bucket url " + url_);
-    }
-    MRS_ASSIGN_OR_RETURN(raw, http_fetch(url_));
-  } else {
-    return InvalidArgumentError("unsupported bucket url scheme: " + url_);
+  constexpr std::string_view kTextFile = "text+file://";
+  if (StartsWith(url_, kTextFile)) {
+    MRS_ASSIGN_OR_RETURN(std::string text,
+                         ReadFileToString(url_.substr(kTextFile.size())));
+    records_ = LinesToRecords(text);
+    loaded_ = true;
+    return Status::Ok();
   }
+  if (!fetch) return FailedPreconditionError("no fetcher for url " + url_);
+  MRS_ASSIGN_OR_RETURN(std::string raw, fetch(url_));
   // Truncation guard: a payload that does not decode cleanly is data loss
   // (short read, dead peer mid-transfer), surfaced as retryable kDataLoss
-  // — never silently parsed as a shorter record stream.
+  // that names the url, so a slave's failure report can name the bad input
+  // for lineage recovery — never silently parsed as a shorter stream.  A
+  // spilled bucket is served as an mrsk1 frame set; DecodeBucketBody
+  // auto-detects it.
   Result<std::vector<KeyValue>> decoded = DecodeBucketBody(raw);
   if (!decoded.ok()) {
     return DataLossError("bucket " + url_ + " payload corrupt after " +
@@ -103,11 +99,6 @@ Status Bucket::EnsureLoaded(
   records_ = std::move(*decoded);
   loaded_ = true;
   return Status::Ok();
-}
-
-std::string BucketFileName(std::string_view dataset_id, int source, int split) {
-  return std::string(dataset_id) + "/source_" + std::to_string(source) +
-         "_split_" + std::to_string(split) + ".mrsb";
 }
 
 std::string EncodeBucketFrames(const std::vector<BucketFrame>& frames) {

@@ -1,12 +1,15 @@
-// Buckets: the unit of intermediate data in Mrs.
+// Buckets: the unit of intermediate data in Mrs, and of every task's input.
 //
 // Each task writes its output partitioned into buckets, one per destination
-// split.  A bucket either stays in memory (serial runs, or the
-// direct-communication path where "small short-lived files ... stay in the
-// kernel's filesystem buffer"), is persisted to a local file
-// (mock-parallel and fault-tolerant modes), or is fetched by URL from the
-// slave that produced it (the writer "sends the master the corresponding
-// URL, which is used for any future reads").
+// split, and reads its input as a column of buckets.  A bucket's records
+// either stay in memory (serial runs, or the direct-communication path
+// where "small short-lived files ... stay in the kernel's filesystem
+// buffer"), sit on local disk as spill runs of the task attempt that wrote
+// them (budgeted runs, and every row under mock parallel), or are read by
+// URL: a `text+file://` input split is read here as (line number, line)
+// records, and any other URL — a peer slave's bucket (the writer "sends
+// the master the corresponding URL, which is used for any future reads"),
+// a shared-filesystem file — through the runner's fetcher.
 #pragma once
 
 #include <functional>
@@ -29,8 +32,9 @@ class Bucket {
   int source() const { return source_; }
   int split() const { return split_; }
 
-  /// URL of the persisted form, empty while memory-only.  Schemes:
-  /// "file:///abs/path" and "http://host:port/path".
+  /// Where the records are read from, empty while memory-only:
+  /// "text+file:///abs/path" (an input split), "http://host:port/path",
+  /// "file:///abs/path", or any scheme the runner's fetcher resolves.
   const std::string& url() const { return url_; }
   void set_url(std::string url) { url_ = std::move(url); }
 
@@ -46,16 +50,12 @@ class Bucket {
   /// Mark in-memory contents as authoritative (constructors of source data).
   void MarkLoaded() { loaded_ = true; }
 
-  /// Drop in-memory records (keeps url and spill runs) to bound memory on
-  /// large runs.
+  /// Drop in-memory records (keeps url and spill runs).
   void Evict() {
     records_.clear();
     records_.shrink_to_fit();
     loaded_ = false;
   }
-
-  /// Persist records to `path` in binary format and set a file:// url.
-  Status PersistToFile(const std::string& path);
 
   // ---- Out-of-core state (fs/spill.h) ---------------------------------
   //
@@ -79,13 +79,15 @@ class Bucket {
   /// Estimated in-memory footprint of records_ (budget accounting).
   size_t ApproxMemoryBytes() const;
 
-  /// Ensure records are in memory, fetching by url if needed.
-  /// `http_fetch` resolves http:// urls (injected to avoid a dependency
-  /// cycle and to allow fault injection in tests); file:// urls are read
-  /// directly.  A payload that fails to decode is reported as kDataLoss
+  /// Ensure records are in memory: read back from spill runs, or by url.
+  /// The only code that turns a url into records.  A text+file:// url is
+  /// read here, never through `fetch`, so fetch faults never touch input
+  /// files; every other url goes to `fetch` (the runner's fetcher,
+  /// injected to avoid a dependency cycle and to allow fault injection).
+  /// A fetched payload that fails to decode is reported as kDataLoss
   /// (truncated transfer) so callers can retry the fetch.
   Status EnsureLoaded(
-      const std::function<Result<std::string>(const std::string&)>& http_fetch);
+      const std::function<Result<std::string>(const std::string&)>& fetch);
 
  private:
   Status LoadFromRuns();
@@ -97,9 +99,6 @@ class Bucket {
   std::vector<KeyValue> records_;
   std::vector<SpillRun> spill_runs_;
 };
-
-/// Deterministic relative path for a bucket within a dataset directory.
-std::string BucketFileName(std::string_view dataset_id, int source, int split);
 
 // ---- Batched binary bucket transfer ("mrsk1") -------------------------
 //

@@ -151,7 +151,7 @@ std::string Master::StatusJson() const {
     first = false;
     out += "{\"id\":" + std::to_string(id);
     out += ",\"kind\":\"";
-    out += ds->kind() == DataSetKind::kMap ? "map" : "reduce";
+    out += DataSetKindName(ds->kind());
     out += "\",\"sources\":" + std::to_string(ds->num_sources());
     out += ",\"splits\":" + std::to_string(ds->num_splits());
     out += ",\"complete_tasks\":" + std::to_string(ds->NumCompleteTasks());
@@ -338,8 +338,7 @@ Result<XmlRpcValue> Master::RpcSignin(const XmlRpcArray& params) {
     XmlRpcStruct entry;
     entry["dataset_id"] = XmlRpcValue(static_cast<int64_t>(did));
     entry["op"] = XmlRpcValue(ds->options().op_name);
-    entry["kind"] =
-        XmlRpcValue(ds->kind() == DataSetKind::kMap ? "map" : "reduce");
+    entry["kind"] = XmlRpcValue(std::string(DataSetKindName(ds->kind())));
     entry["sources"] = XmlRpcValue(static_cast<int64_t>(ds->num_sources()));
     entry["splits"] = XmlRpcValue(static_cast<int64_t>(ds->num_splits()));
     entry["complete"] = XmlRpcValue(ds->Complete());

@@ -497,13 +497,12 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
   const TaskSpillContext* spill_ptr = spill ? &*spill : nullptr;
 
   // Resident input (iterative/BSP): the master either promises this slave
-  // still caches the pinned split's decoded records (resident_cached,
+  // still caches the pinned split's loaded column (resident_cached,
   // inputs omitted) or ships full inputs that (re)populate the cache.  A
   // broken promise — restart, lost state — is reported as a resident://
   // cache miss, which the master treats as environmental and answers by
   // re-sending full inputs.
-  std::vector<KeyValue> resident_input;
-  bool have_resident_input = false;
+  std::vector<Bucket> column;
   if (!assignment.resident_key.empty() && assignment.resident_cached) {
     static obs::Counter* resident_hits =
         obs::Registry::Instance().GetCounter("mrs.slave.resident_hits");
@@ -518,44 +517,19 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
                            assignment.resident_key);
     }
     resident_hits->Inc();
-    resident_input = it->second;  // copy: the task consumes its input
-    have_resident_input = true;
+    column = it->second;  // copy: the task consumes its input
+  } else {
+    column = InputColumn(assignment.inputs);
   }
 
   auto compute_row = [&]() -> Result<std::vector<Bucket>> {
-    std::vector<Bucket> column;
-    if (assignment.kind == DataSetKind::kReduce && spill_ptr != nullptr &&
-        assignment.resident_key.empty()) {
-      // Budgeted reduce: stage each input part in the attempt's spill file
-      // as a sorted run, one part resident at a time, so the task merges
-      // the spilled column and never materializes its full input.
-      for (const TaskInputPart& part : assignment.inputs) {
-        Bucket staged;
-        MRS_ASSIGN_OR_RETURN(*staged.mutable_records(),
-                             LoadTaskInput({part}, fetch));
-        MRS_RETURN_IF_ERROR(staged.SpillToRun(
-            *spill->file,
-            spill->id_prefix + "/in" + std::to_string(column.size()),
-            /*sorted=*/true));
-        column.push_back(std::move(staged));
-      }
-    } else {
-      Bucket all;
-      std::vector<KeyValue>& input = *all.mutable_records();
-      if (have_resident_input) {
-        input = std::move(resident_input);
-      } else {
-        MRS_ASSIGN_OR_RETURN(input, LoadTaskInput(assignment.inputs, fetch));
-        if (!assignment.resident_key.empty()) {
-          // First round over a pinned split (or a re-send after a miss):
-          // remember the decoded records so later supersteps skip the
-          // fetch+decode entirely.
-          MutexLock lock(store_mutex_);
-          resident_cache_[assignment.resident_key] = input;
-        }
-      }
-      all.MarkLoaded();
-      column.push_back(std::move(all));
+    if (!assignment.resident_key.empty() && !assignment.resident_cached) {
+      // First round over a pinned split (or a re-send after a miss):
+      // remember the loaded column so later supersteps skip the
+      // fetch+decode entirely.
+      for (Bucket& b : column) MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
+      MutexLock lock(store_mutex_);
+      resident_cache_[assignment.resident_key] = column;
     }
     return RunTaskOnBuckets(*program_, assignment.kind, assignment.options,
                             assignment.num_splits, std::move(column), fetch,

@@ -26,6 +26,7 @@
 #include "common/thread_annotations.h"
 #include "common/status.h"
 #include "core/program.h"
+#include "fs/bucket.h"
 #include "fs/spill.h"
 #include "http/server.h"
 #include "rt/protocol.h"
@@ -198,10 +199,10 @@ class Slave {
   std::map<int, std::vector<std::string>> spill_files_
       MRS_GUARDED_BY(store_mutex_);
   // Resident input cache (iterative/BSP mode): "r/<dataset>/<split>" ->
-  // decoded input records of a pinned dataset's split, kept across
+  // the loaded input column of a pinned dataset's split, kept across
   // supersteps so the master can ship only the broadcast delta.  Purged
   // with the dataset's piggybacked discard.
-  std::map<std::string, std::vector<KeyValue>> resident_cache_
+  std::map<std::string, std::vector<Bucket>> resident_cache_
       MRS_GUARDED_BY(store_mutex_);
 };
 

@@ -18,6 +18,7 @@
 #include "fs/file_io.h"
 #include "fs/spill.h"
 #include "obs/metrics.h"
+#include "rt/mrs_main.h"
 
 namespace mrs {
 namespace {
@@ -328,6 +329,9 @@ TEST(Runners, MockParallelPersistsIntermediateData) {
   ASSERT_TRUE(p.Init(Options()).ok());
   auto tmpdir = MakeTempDir("mrs_core_mock_");
   ASSERT_TRUE(tmpdir.ok());
+  obs::Counter* mock_tasks =
+      obs::Registry::Instance().GetCounter("mrs.mock.tasks");
+  const int64_t attempts_before = mock_tasks->value();
   {
     auto runner = std::make_unique<SerialRunner>(&p, *tmpdir);
     Job job(&p, std::move(runner));
@@ -338,14 +342,33 @@ TEST(Runners, MockParallelPersistsIntermediateData) {
     auto out = job.Collect(reduced);
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(ToCounts(*out).at("fish"), 4);
-    // Intermediate files exist on disk for both computed datasets.
+    // Each task attempt keeps its row in at most one spill file.
+    const int64_t attempts = mock_tasks->value() - attempts_before;
+    EXPECT_EQ(attempts, 6);
     auto files = ListFilesRecursive(*tmpdir);
     ASSERT_TRUE(files.ok());
-    EXPECT_GE(files->size(), 6u);
-    // Spot-check file content decodes as records.
-    auto raw = ReadFileToString(files->front());
-    ASSERT_TRUE(raw.ok());
-    EXPECT_TRUE(DecodeRecords(*raw).ok());
+    EXPECT_FALSE(files->empty());
+    EXPECT_LE(static_cast<int64_t>(files->size()), attempts);
+    for (const std::string& f : *files) EXPECT_TRUE(EndsWith(f, ".mrsk")) << f;
+    // No bucket of either dataset holds records in memory: all 12 emitted
+    // words and all 8 counts are in runs, and every run reads back.
+    for (const auto& [ds, records] :
+         {std::pair{mapped, 12u}, std::pair{reduced, 8u}}) {
+      size_t in_runs = 0;
+      for (int s = 0; s < ds->num_sources(); ++s) {
+        for (int split = 0; split < ds->num_splits(); ++split) {
+          const Bucket& b = ds->bucket(s, split);
+          EXPECT_TRUE(b.records().empty());
+          for (const SpillRun& run : b.spill_runs()) {
+            auto recs = ReadSpillRun(run);
+            ASSERT_TRUE(recs.ok()) << recs.status().ToString();
+            EXPECT_EQ(recs->size(), run.records);
+            in_runs += recs->size();
+          }
+        }
+      }
+      EXPECT_EQ(in_runs, records) << "dataset " << ds->id();
+    }
   }
   RemoveTree(*tmpdir);
 }
@@ -364,9 +387,9 @@ TEST(Runners, MockParallelMatchesSerialExactly) {
 }
 
 TEST(Runners, DiscardFreesMockParallelFiles) {
-  // Unbudgeted, a finished row is persisted as bucket files; under a
-  // 1-byte budget its buckets spill to the task attempts' spill files in
-  // the dataset's directory instead.  Either way Discard leaves the tmpdir
+  // Unbudgeted, a finished row is kept as FIFO runs of its task attempt's
+  // spill file in the tmpdir; under a 1-byte budget its buckets spill to
+  // the same file as the task runs.  Either way Discard leaves the tmpdir
   // empty.
   std::string text;
   for (int i = 0; i < 20; ++i) {
@@ -401,6 +424,91 @@ TEST(Runners, DiscardFreesMockParallelFiles) {
   }
   process.set_limit(saved_limit);
   process.ResetForTest();
+}
+
+/// WordCount over text files that discards every dataset once it has
+/// collected the output.  Pure, unlike CountProgram, so the thread runner
+/// may run its maps at once.
+class DiscardingFileCount : public MapReduce {
+ public:
+  explicit DiscardingFileCount(std::string dir) : dir_(std::move(dir)) {}
+
+  void Map(const Value& key, const Value& value,
+           const Emitter& emit) override {
+    (void)key;
+    for (std::string_view word : SplitWhitespace(value.AsString())) {
+      emit(Value(word), Value(int64_t{1}));
+    }
+  }
+  void Reduce(const Value& key, const ValueList& values,
+              const ValueEmitter& emit) override {
+    (void)key;
+    int64_t sum = 0;
+    for (const Value& v : values) sum += v.AsInt();
+    emit(Value(sum));
+  }
+
+  Status Run(Job& job) override {
+    MRS_ASSIGN_OR_RETURN(DataSetPtr input, job.FileData({dir_}));
+    DataSetPtr mapped = job.MapData(input);
+    DataSetPtr reduced = job.ReduceData(mapped);
+    MRS_ASSIGN_OR_RETURN(result, job.Collect(reduced));
+    std::sort(result.begin(), result.end(), KeyValueLess);
+    for (const DataSetPtr& ds : {input, mapped, reduced}) job.Discard(ds);
+    return Status::Ok();
+  }
+
+  std::vector<KeyValue> result;
+
+ private:
+  std::string dir_;
+};
+
+// Input splits are text+file:// buckets of the input dataset, so every
+// path that deletes bucket data — dataset discard, spill-file removal,
+// mock parallel's tmpdir, a slave's discard — must leave them alone.
+TEST(Runners, DiscardNeverDeletesInputFiles) {
+  auto dir = MakeTempDir("mrs_core_input_");
+  ASSERT_TRUE(dir.ok());
+  std::map<std::string, std::string> inputs;
+  for (int i = 0; i < 6; ++i) {
+    std::string text;
+    for (int line = 0; line < 40; ++line) {
+      text += "w" + std::to_string((i * 7 + line) % 13) + " fish\n";
+    }
+    inputs[JoinPath(*dir, "part" + std::to_string(i) + ".txt")] = text;
+  }
+  for (const auto& [path, text] : inputs) {
+    ASSERT_TRUE(WriteFileAtomic(path, text).ok());
+  }
+  MemoryBudget& process = MemoryBudget::Process();
+  const int64_t saved_limit = process.limit();
+  std::vector<KeyValue> expected;
+  for (int64_t budget : {0, 1}) {
+    process.set_limit(budget);
+    for (const char* impl :
+         {"serial", "mockparallel", "thread", "masterslave"}) {
+      SCOPED_TRACE(std::string(impl) + " budget=" + std::to_string(budget));
+      DiscardingFileCount program(*dir);
+      ASSERT_TRUE(program.Init(Options()).ok());
+      RunConfig config;
+      config.impl = impl;
+      config.num_workers = 2;
+      Status status = RunProgram(
+          [&] { return std::make_unique<DiscardingFileCount>(*dir); },
+          &program, config);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(ToCounts(program.result).at("fish"), 240);
+      if (expected.empty()) expected = program.result;
+      EXPECT_EQ(program.result, expected);
+      for (const auto& [path, text] : inputs) {
+        EXPECT_EQ(ReadFileToString(path).ValueOr("<gone>"), text) << path;
+      }
+    }
+  }
+  process.set_limit(saved_limit);
+  process.ResetForTest();
+  RemoveTree(*dir);
 }
 
 // A task that failed in one Wait runs again in the next, on every local

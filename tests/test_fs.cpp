@@ -169,21 +169,20 @@ std::vector<KeyValue> TwoRecords() {
   return {{Value("k1"), Value(int64_t{1})}, {Value("k2"), Value(2.5)}};
 }
 
-TEST_F(FsTest, BucketPersistAndReload) {
-  Bucket b(3, 1);
-  for (KeyValue kv : TwoRecords()) b.Append(std::move(kv));
-  b.MarkLoaded();
-  std::string path = JoinPath(dir_, "bucket.mrsb");
-  ASSERT_TRUE(b.PersistToFile(path).ok());
-  EXPECT_EQ(b.url(), "file://" + path);
-
+TEST_F(FsTest, BucketTextFileUrlIsReadAsLinesNeverFetched) {
+  const std::string text = "one fish\ntwo fish\n";
+  std::string path = JoinPath(dir_, "input.txt");
+  ASSERT_TRUE(WriteFileAtomic(path, text).ok());
+  Bucket b(0, 3);
+  b.set_url("text+file://" + path);
+  auto fetch = [](const std::string& url) -> Result<std::string> {
+    ADD_FAILURE() << "input file went through the fetcher: " << url;
+    return UnavailableError("fetch fault");
+  };
+  ASSERT_TRUE(b.EnsureLoaded(fetch).ok());
+  EXPECT_EQ(b.records(), LinesToRecords(text));
   b.Evict();
-  EXPECT_FALSE(b.loaded());
-  EXPECT_TRUE(b.records().empty());
-
-  ASSERT_TRUE(b.EnsureLoaded(nullptr).ok());
-  EXPECT_TRUE(b.loaded());
-  EXPECT_EQ(b.records(), TwoRecords());
+  EXPECT_EQ(ReadFileToString(path).ValueOr(""), text);
 }
 
 TEST_F(FsTest, BucketHttpUrlUsesInjectedFetcher) {
@@ -224,10 +223,6 @@ TEST_F(FsTest, BucketMemoryOnlyIsAuthoritative) {
   b.Append(Value("k"), Value(int64_t{9}));
   ASSERT_TRUE(b.EnsureLoaded(nullptr).ok());
   EXPECT_EQ(b.records().size(), 1u);
-}
-
-TEST(BucketNaming, DeterministicFileName) {
-  EXPECT_EQ(BucketFileName("ds7", 2, 5), "ds7/source_2_split_5.mrsb");
 }
 
 // ---- mrsk1 bucket frames ----------------------------------------------------

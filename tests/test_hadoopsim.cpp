@@ -498,11 +498,12 @@ TEST(FetchRegistry, WebHdfsBucketsFeedTasks) {
   std::string url =
       "webhdfs://" + (*server)->addr().ToString() + "/stage/bucket0";
   ASSERT_TRUE(CanResolveUrl(url));
-  std::vector<TaskInputPart> parts = {TaskInputPart::Url(url)};
-  auto input = LoadTaskInput(
-      parts, [](const std::string& u) { return ResolveUrl(u); });
-  ASSERT_TRUE(input.ok()) << input.status().ToString();
-  EXPECT_EQ(*input, records);
+  std::vector<Bucket> column = InputColumn({TaskInputPart::Url(url)});
+  ASSERT_EQ(column.size(), 1u);
+  Status loaded = column[0].EnsureLoaded(
+      [](const std::string& u) { return ResolveUrl(u); });
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(column[0].records(), records);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "common/clock.h"
 #include "common/strings.h"
 #include "fs/file_io.h"
+#include "http/client.h"
 #include "obs/metrics.h"
 #include "rt/cluster.h"
 #include "rt/mrs_main.h"
@@ -260,6 +261,41 @@ TEST(MasterSlave, DiscardPropagatesToSlaves) {
   DataSetPtr mapped2 = job.MapData(data2);
   auto out = job.Collect(mapped2);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
+  (*cluster)->Shutdown();
+}
+
+// /status names each dataset by its kind.  The master registers a job's
+// source datasets too, and they must not read as reduces.
+TEST(MasterSlave, StatusNamesEveryDatasetKind) {
+  IterativeProgram program;
+  ASSERT_TRUE(program.Init(Options()).ok());
+  ClusterLauncher::Config config;
+  config.num_slaves = 2;
+  auto cluster = ClusterLauncher::Start(
+      [] { return std::unique_ptr<MapReduce>(new IterativeProgram()); },
+      Options(), config);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  Job job(&program, std::make_unique<MasterRunner>(&(*cluster)->master()));
+  job.set_default_parallelism(2);
+  DataSetPtr data =
+      job.LocalData({{Value(int64_t{0}), Value(int64_t{0})}}, 2);
+  DataSetPtr mapped = job.MapData(data);
+  ASSERT_TRUE(job.Wait(mapped).ok());
+
+  HttpClient probe((*cluster)->master().addr());
+  auto status = probe.Get("/status");
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  ASSERT_EQ(status->status_code, 200);
+  auto entry = [](const DataSetPtr& ds, const char* kind) {
+    return "{\"id\":" + std::to_string(ds->id()) + ",\"kind\":\"" + kind +
+           "\"";
+  };
+  EXPECT_NE(status->body.find(entry(data, "local")), std::string::npos)
+      << status->body;
+  EXPECT_NE(status->body.find(entry(mapped, "map")), std::string::npos)
+      << status->body;
+  EXPECT_EQ(status->body.find("\"kind\":\"reduce\""), std::string::npos)
+      << status->body;
   (*cluster)->Shutdown();
 }
 

@@ -414,7 +414,7 @@ TEST_F(SchedulerTest, EventsForUnknownSlavesOrTasksChangeNothing) {
 /// runs a simulated cluster on the hadoopsim event queue until the dataset
 /// is complete.  Each simulated slave long-polls every 0.25 simulated
 /// seconds, runs what it is assigned inline through the task functions a
-/// real slave uses (LoadTaskInput, RunTaskOnBuckets), and serves its
+/// real slave uses (InputColumn, RunTaskOnBuckets), and serves its
 /// buckets from a URL map.  A crashed slave stops polling and its URLs
 /// vanish; lineage must recover everything it held.
 class SimulatedCluster final : public Runner {
@@ -534,30 +534,25 @@ class SimulatedCluster final : public Runner {
   void Execute(size_t i, const TaskAssignment& assignment) {
     SimSlave& slave = slaves_[i];
     TaskId task{assignment.dataset_id, assignment.source};
-    Result<std::vector<KeyValue>> input =
-        LoadTaskInput(assignment.inputs, fetcher());
+    Result<std::vector<Bucket>> row = RunTaskOnBuckets(
+        *program_, assignment.kind, assignment.options, assignment.num_splits,
+        InputColumn(assignment.inputs), fetcher(), nullptr);
     scheduler_.Tick(sim_.now());
-    if (!input.ok()) {
+    if (!row.ok()) {
       // As a real slave does: name the unreachable input for lineage.
       std::string bad_url;
       for (const TaskInputPart& part : assignment.inputs) {
         if (!part.inline_records &&
-            input.status().message().find(part.url) != std::string::npos) {
+            row.status().message().find(part.url) != std::string::npos) {
           bad_url = part.url;
         }
       }
-      scheduler_.TaskFailed(slave.id, task, input.status().ToString(),
-                            bad_url, assignment.attempt, sim_.now());
+      EXPECT_FALSE(bad_url.empty()) << row.status().ToString();
+      scheduler_.TaskFailed(slave.id, task, row.status().ToString(), bad_url,
+                            assignment.attempt, sim_.now());
       Poll(i);
       return;
     }
-    std::vector<Bucket> column(1);
-    *column[0].mutable_records() = std::move(*input);
-    column[0].MarkLoaded();
-    Result<std::vector<Bucket>> row = RunTaskOnBuckets(
-        *program_, assignment.kind, assignment.options, assignment.num_splits,
-        std::move(column), fetcher(), nullptr);
-    ASSERT_TRUE(row.ok()) << row.status().ToString();
     std::vector<std::string> urls;
     for (int p = 0; p < assignment.num_splits; ++p) {
       urls.push_back(BucketUrl(slave.id, task, p));

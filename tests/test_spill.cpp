@@ -413,7 +413,7 @@ TEST(SpillDirs, TaskSpillContextExistsOnlyUnderAnActiveBudget) {
   auto parent = MakeTempDir("mrs_spill_parent_");
   ASSERT_TRUE(parent.ok());
   process.set_limit(0);
-  EXPECT_FALSE(NewTaskSpillContext("test", 7, 3, *parent).has_value());
+  EXPECT_FALSE(NewTaskSpillContext("test", 7, 3).has_value());
   process.set_limit(1 << 20);
   std::optional<TaskSpillContext> spill =
       NewTaskSpillContext("test", 7, 3, *parent);
@@ -430,6 +430,28 @@ TEST(SpillDirs, TaskSpillContextExistsOnlyUnderAnActiveBudget) {
   EXPECT_TRUE(FileExists(path));
   spill.reset();  // an attempt that never kept its file leaves nothing
   EXPECT_FALSE(FileExists(path));
+  RemoveTree(*parent);
+}
+
+TEST(SpillDirs, NamedDirectoryGetsADisabledContextWithoutABudget) {
+  // Mock parallel names its tmpdir: its attempts get a spill file to keep
+  // their rows in even with no budget, but the context never spills.
+  MemoryBudget& process = MemoryBudget::Process();
+  const int64_t saved = process.limit();
+  auto parent = MakeTempDir("mrs_spill_parent_");
+  ASSERT_TRUE(parent.ok());
+  process.set_limit(0);
+  std::optional<TaskSpillContext> spill =
+      NewTaskSpillContext("test", 7, 3, *parent);
+  const bool enabled = spill.has_value() && spill->enabled();
+  process.set_limit(saved);
+  ASSERT_TRUE(spill.has_value());
+  EXPECT_FALSE(enabled);
+  EXPECT_EQ(spill->id_prefix, "7/3");
+  const std::string path = spill->file->path();
+  EXPECT_TRUE(StartsWith(path, JoinPath(*parent, "test_ds7_t3_"))) << path;
+  EXPECT_FALSE(FileExists(path));
+  spill.reset();
   RemoveTree(*parent);
 }
 
@@ -1318,6 +1340,36 @@ TEST(SpillFiles, DiscardLeavesNoSpillFileOnAnyRunner) {
     if (r->cluster) r->cluster->Shutdown();
     if (!r->tmpdir.empty()) RemoveTree(r->tmpdir);
   }
+  // Unbudgeted, mock parallel keeps its rows as runs of its task attempts'
+  // spill files in the tmpdir: at most one per attempt, no other file, and
+  // nothing once every dataset is discarded.
+  ScopedBudget none(0);
+  SmallSort program;
+  ASSERT_TRUE(program.Init(Options()).ok());
+  auto r = MakeSpillRunner("mockparallel", &program, /*fail_maps=*/false);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const int64_t attempts_before = CounterValue(r->attempts);
+  Job job(&program, std::move(r->runner));
+  job.set_default_parallelism(4);
+  DataSetPtr input;
+  ASSERT_TRUE(program.InputData(job, &input).ok());
+  DataSetPtr mapped = job.MapData(input);
+  DataSetPtr reduced = job.ReduceData(mapped);
+  auto out = job.Collect(reduced);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(*out == program.ExpectedOutput());
+  const int64_t attempts = CounterValue(r->attempts) - attempts_before;
+  auto files = ListFilesRecursive(r->tmpdir);
+  ASSERT_TRUE(files.ok());
+  EXPECT_FALSE(files->empty());
+  EXPECT_LE(static_cast<int64_t>(files->size()), attempts);
+  EXPECT_EQ(SpillFilesUnder(r->tmpdir).size(), files->size())
+      << "a file that is not a spill file: " << files->front();
+  for (const DataSetPtr& ds : {input, mapped, reduced}) job.Discard(ds);
+  files = ListFilesRecursive(r->tmpdir);
+  ASSERT_TRUE(files.ok());
+  EXPECT_TRUE(files->empty()) << files->front();
+  RemoveTree(r->tmpdir);
 }
 
 TEST(SpillFiles, FailedAttemptLeavesNoSpillFile) {
