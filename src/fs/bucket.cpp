@@ -123,6 +123,8 @@ std::string EncodeBucketFrames(const std::vector<BucketFrame>& frames) {
 
 namespace {
 
+constexpr std::string_view kRunFrameMark = "#run";
+
 /// The frames of an encoded frame set as views into `body`, unverified.
 Result<std::vector<BucketFrameView>> ParseBucketFrames(std::string_view body) {
   if (!StartsWith(body, kBucketFramesFormat)) {
@@ -158,6 +160,50 @@ Status CheckFrame(std::string_view id, std::string_view checksum,
 }
 
 }  // namespace
+
+std::string RunFrameId(std::string_view bucket_id, size_t i) {
+  return std::string(bucket_id).append(kRunFrameMark).append(
+      std::to_string(i));
+}
+
+Result<BucketFrame> ReadSpillRunFrame(const SpillRun& run) {
+  MRS_ASSIGN_OR_RETURN(std::string raw, ReadSpillRunBytes(run));
+  Result<std::vector<BucketFrameView>> frames = ParseBucketFrames(raw);
+  const std::string name =
+      "spill run " + run.path + "@" + std::to_string(run.offset);
+  if (!frames.ok()) {
+    return DataLossError(name + ": " + frames.status().message());
+  }
+  if (frames->size() != 1) {
+    return DataLossError(name + ": expected 1 frame, got " +
+                         std::to_string(frames->size()));
+  }
+  const BucketFrameView& view = frames->front();
+  BucketFrame frame{std::string(view.id), std::string(view.checksum), {}};
+  // The payload ends the run: drop what precedes it in place rather than
+  // copy it out.
+  raw.erase(0, static_cast<size_t>(view.data.data() - raw.data()));
+  frame.data = std::move(raw);
+  return frame;
+}
+
+std::map<std::string, std::string> BucketBodies(
+    std::vector<BucketFrame> frames) {
+  std::map<std::string, std::string> bodies;
+  std::map<std::string, std::vector<BucketFrame>> run_backed;
+  for (BucketFrame& f : frames) {
+    size_t mark = f.id.rfind(kRunFrameMark);
+    if (mark == std::string::npos) {
+      bodies[f.id] = std::move(f.data);
+    } else {
+      run_backed[f.id.substr(0, mark)].push_back(std::move(f));
+    }
+  }
+  for (auto& [bucket_id, bucket_frames] : run_backed) {
+    bodies[bucket_id] = EncodeBucketFrames(bucket_frames);
+  }
+  return bodies;
+}
 
 Result<std::vector<BucketFrameView>> DecodeBucketFrameViews(
     std::string_view body) {

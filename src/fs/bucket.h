@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,26 @@ inline constexpr std::string_view kBucketFramesFormat = "mrsk1";
 /// Serialize frames: magic "mrsk1", varint count, then per frame the
 /// length-prefixed id, checksum, and data.
 std::string EncodeBucketFrames(const std::vector<BucketFrame>& frames);
+
+/// The id of the frame that carries run `i` of a run-backed bucket, served
+/// or written as frames: "<bucket_id>#run<i>".  A bucket held in memory
+/// travels as one frame under its own id.  Relabelling a run's frame is
+/// safe because a frame checksum covers only the data, never the id.
+std::string RunFrameId(std::string_view bucket_id, size_t i);
+
+/// A spill run's one frame, parsed but unverified: its payload is not
+/// checked against its checksum.  A slave passes it on as read, so damage
+/// on disk is kDataLoss where the frame is decoded, as a damaged transfer
+/// is.  A missing file is kNotFound; a range past the end of the file, or
+/// bytes that are not one mrsk1 frame filling the range, is kDataLoss.
+Result<BucketFrame> ReadSpillRunFrame(const SpillRun& run);
+
+/// The frames of a batched transfer as one body per bucket id: a bucket's
+/// own frame gives its record stream, and the RunFrameId frames of a
+/// run-backed bucket are re-encoded, in run order, as one frame set, which
+/// DecodeBucketBody reassembles.
+std::map<std::string, std::string> BucketBodies(
+    std::vector<BucketFrame> frames);
 
 /// A frame of an encoded frame set, viewing the body it was parsed from.
 struct BucketFrameView {

@@ -1,6 +1,9 @@
 #include "fs/spill.h"
 
+#include <dirent.h>
 #include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -10,6 +13,7 @@
 #include <mutex>
 
 #include "common/bytes.h"
+#include "common/strings.h"
 #include "fs/bucket.h"
 #include "fs/file_io.h"
 #include "http/message.h"
@@ -284,20 +288,14 @@ Result<std::string> ReadSpillRunBytes(const SpillRun& run) {
 }
 
 Result<std::vector<KeyValue>> ReadSpillRun(const SpillRun& run) {
-  MRS_ASSIGN_OR_RETURN(std::string raw, ReadSpillRunBytes(run));
-  Result<std::vector<BucketFrameView>> frames = DecodeBucketFrameViews(raw);
-  if (!frames.ok()) {
-    return DataLossError(RunName(run) + ": " + frames.status().message());
-  }
-  if (frames->size() != 1) {
-    return DataLossError(RunName(run) + ": expected 1 frame, got " +
-                         std::to_string(frames->size()));
-  }
-  const BucketFrameView& frame = (*frames)[0];
+  MRS_ASSIGN_OR_RETURN(BucketFrame frame, ReadSpillRunFrame(run));
   if (!run.checksum.empty() && frame.checksum != run.checksum) {
     return DataLossError(RunName(run) +
                          ": frame checksum does not match run metadata "
                          "(wrong or swapped file)");
+  }
+  if (!ChecksumMatches(frame.data, frame.checksum)) {
+    return DataLossError(RunName(run) + ": payload checksum mismatch");
   }
   Result<std::vector<KeyValue>> records = DecodeBinaryRecords(frame.data);
   if (!records.ok()) {
@@ -311,15 +309,67 @@ void RemoveSpillRun(const SpillRun& run) {
   if (!run.path.empty()) std::remove(run.path.c_str());
 }
 
+namespace {
+
+constexpr std::string_view kSpillRootPrefix = "mrs_spill_";
+constexpr std::string_view kSpillRootLock = ".lock";
+
+/// Lock `root` for the rest of the process's life: its lock file is made
+/// and locked under a temporary name, then renamed into place, so a sweep
+/// never finds an unlocked lock file in a live root.  The descriptor is
+/// never closed; the lock goes when the process does, however it ends.  A
+/// root left unlocked (this failed) is only never swept.
+void LockSpillRoot(const std::string& root) {
+  const std::string made = JoinPath(root, ".lock.tmp");
+  int fd = ::open(made.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0600);
+  if (fd < 0) return;
+  if (::flock(fd, LOCK_EX) != 0 ||
+      ::rename(made.c_str(), JoinPath(root, kSpillRootLock).c_str()) != 0) {
+    ::close(fd);
+  }
+}
+
+}  // namespace
+
+void RemoveDeadSpillRoots(const std::string& parent) {
+  std::vector<std::string> roots;
+  if (DIR* dir = ::opendir(parent.c_str())) {
+    while (dirent* entry = ::readdir(dir)) {
+      if (StartsWith(entry->d_name, kSpillRootPrefix)) {
+        roots.push_back(JoinPath(parent, entry->d_name));
+      }
+    }
+    ::closedir(dir);
+  }
+  for (const std::string& root : roots) {
+    // Only a real directory of this user's: never follow a link out of
+    // a shared temp directory.
+    struct stat st{};
+    if (::lstat(root.c_str(), &st) != 0 || !S_ISDIR(st.st_mode) ||
+        st.st_uid != ::geteuid()) {
+      continue;
+    }
+    const std::string lock = JoinPath(root, kSpillRootLock);
+    int fd = ::open(lock.c_str(), O_RDONLY | O_NOFOLLOW | O_CLOEXEC);
+    if (fd < 0) continue;  // no lock file: not a root this code made
+    if (::flock(fd, LOCK_EX | LOCK_NB) == 0) RemoveTree(root);
+    ::close(fd);
+  }
+}
+
 Result<std::string> SpillRoot() {
   static std::mutex mu;
   static std::string root;      // guarded by mu
   static Status root_status;    // guarded by mu
   std::lock_guard<std::mutex> lock(mu);
   if (root.empty() && root_status.ok()) {
-    Result<std::string> made = MakeTempDir("mrs_spill_");
+    Result<std::string> made = MakeTempDir(std::string(kSpillRootPrefix));
     if (made.ok()) {
       root = *made;
+      LockSpillRoot(root);
+      // The roots of processes that ended without their atexit (a
+      // SIGKILLed slave) hold no lock any more; this one holds its own.
+      RemoveDeadSpillRoots(DirName(root));
       std::atexit([] { RemoveTree(root); });
     } else {
       root_status = made.status();

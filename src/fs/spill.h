@@ -184,9 +184,10 @@ Result<SpillRun> WriteEncodedSpillRun(const std::string& path,
 /// range that runs past the end of the file is kDataLoss.
 Result<std::string> ReadSpillRunBytes(const SpillRun& run);
 
-/// Read a whole run back.  A missing file is kNotFound; truncation, a bad
-/// frame, or a checksum mismatch is kDataLoss.  (For memory-bounded reads
-/// use fs/merge.h's SpillRunSource, which streams.)
+/// Read a whole run back: ReadSpillRunFrame (fs/bucket.h), then the
+/// checksum and record decode.  A missing file is kNotFound; truncation, a
+/// bad frame, or a checksum mismatch is kDataLoss.  (For memory-bounded
+/// reads use fs/merge.h's SpillRunSource, which streams.)
 Result<std::vector<KeyValue>> ReadSpillRun(const SpillRun& run);
 
 /// Best-effort deletion of the file holding `run` — and so of every other
@@ -195,8 +196,16 @@ void RemoveSpillRun(const SpillRun& run);
 
 /// Lazily-created process-local directory for the spill files of tasks
 /// that have no natural owner directory (serial, thread and slave task
-/// attempts).  Removed at process exit.
+/// attempts), "$TMPDIR/mrs_spill_XXXXXX".  Removed at process exit; the
+/// process holds a lock on its ".lock" file until then, and making a root
+/// runs RemoveDeadSpillRoots on $TMPDIR, so the root of a process that was
+/// killed goes when the next one is made.
 Result<std::string> SpillRoot();
+
+/// Remove every "mrs_spill_*" directory in `parent` whose ".lock" file no
+/// process holds locked: its owner has exited.  A directory of another
+/// user's, or one without a lock file, is never touched.
+void RemoveDeadSpillRoots(const std::string& parent);
 
 /// A fresh spill file path "<parent>/<label>_<n>.mrsk" (parent is
 /// SpillRoot() when empty) for one task attempt.  `n` is a process-wide

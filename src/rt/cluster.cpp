@@ -66,8 +66,11 @@ ClusterLauncher::~ClusterLauncher() { Shutdown(); }
 void ClusterLauncher::Shutdown() {
   if (shutdown_) return;
   shutdown_ = true;
+  // The master first: it answers each slave's next poll with "quit"
+  // before it stops serving, so a polling slave exits on its own; Stop
+  // then ends any loop that did not poll within the grace.
+  master_->Shutdown();
   for (auto& slave : slaves_) slave->Stop();
-  master_->Shutdown();  // pending get_task calls return "quit"
   for (auto& t : slave_threads_) {
     if (t.joinable()) t.join();
   }

@@ -81,7 +81,8 @@ class ClusterLauncher {
   /// work and releases it; its thread exits once it receives "quit".
   void DrainSlave(int i) { slaves_[static_cast<size_t>(i)]->RequestDrain(); }
 
-  /// Stop slaves and master; join threads.  Idempotent.
+  /// Stop the master (slaves collect their quit), then the slaves; join
+  /// threads.  Idempotent.
   void Shutdown();
 
   int64_t TotalTasksExecuted() const;

@@ -17,6 +17,11 @@ double NowSeconds() { return RealClock::Instance().Now(); }
 
 /// How long get_task waits for work before answering "wait".
 constexpr double kLongPollSeconds = 0.25;
+
+/// How long Shutdown keeps serving for slaves that have not collected their
+/// "quit": a slave that never polls again (crashed, or stuck in a task)
+/// costs at most this.
+constexpr double kQuitGraceSeconds = 1.0;
 }  // namespace
 
 Master::Master(Config config)
@@ -65,9 +70,24 @@ void Master::Shutdown() {
     MutexLock lock(mutex_);
     if (shutdown_) return;
     shutdown_ = true;
+    Notify();  // every get_task long poll answers "quit"
+    // A handshake: keep serving until every slave on the roster has
+    // collected its quit, so one between polls (running a task, retrying a
+    // fetch) never finds the port closed and exits as if the master died.
+    const auto deadline = DeadlineAfter(kQuitGraceSeconds);
+    while (!AllSlavesQuitLocked() && done_cv_.WaitUntil(mutex_, deadline)) {
+    }
   }
-  Notify();  // every get_task long poll answers "quit"
   server_->Shutdown();
+}
+
+bool Master::AllSlavesQuitLocked() const {
+  for (const auto& [id, slave] : scheduler_.slaves()) {
+    if (slave.state != SlaveState::kGone && !quit_sent_.contains(id)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 double Master::TickLocked() {
@@ -361,6 +381,8 @@ Result<XmlRpcValue> Master::RpcGetTask(const XmlRpcArray& params) {
   XmlRpcArray discards;
   while (true) {
     if (shutdown_) {
+      quit_sent_.insert(static_cast<int>(slave_id));
+      if (AllSlavesQuitLocked()) done_cv_.NotifyAll();  // Shutdown may stop
       out["kind"] = XmlRpcValue("quit");
       break;
     }

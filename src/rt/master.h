@@ -51,6 +51,7 @@
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "common/mutex.h"
@@ -95,7 +96,9 @@ class Master {
   /// re-execution was scheduled or the URL has already moved.
   bool RecoverLostUrl(const std::string& url);
 
-  /// Tell all slaves to quit and stop the server.  Idempotent.
+  /// Answer every get_task with "quit", wait (at most about a second)
+  /// until every slave on the roster that is not gone has collected it,
+  /// then stop the server.  Idempotent.
   void Shutdown();
 
   /// Scheduler statistics (for benches and tests).
@@ -138,6 +141,8 @@ class Master {
   /// Wake long-polling get_task calls and Wait/WaitUntilStats.
   void Notify();
   Stats StatsLocked() const MRS_REQUIRES(mutex_);
+  /// Every slave not gone has been answered "quit" since Shutdown.
+  bool AllSlavesQuitLocked() const MRS_REQUIRES(mutex_);
 
   Config config_;
   std::unique_ptr<HttpServer> server_;
@@ -147,6 +152,7 @@ class Master {
   CondVar sched_cv_;  // wakes long-polling get_task
   CondVar done_cv_;   // wakes Wait and WaitUntilStats
   bool shutdown_ MRS_GUARDED_BY(mutex_) = false;
+  std::set<int> quit_sent_ MRS_GUARDED_BY(mutex_);  // slave ids
   Scheduler scheduler_ MRS_GUARDED_BY(mutex_);
   int64_t rpc_retries_base_ = 0;    // process counters at Init
   int64_t fetch_retries_base_ = 0;

@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <optional>
 
-#include "common/bytes.h"
 #include "common/clock.h"
 #include "common/hash.h"
 #include "common/log.h"
+#include "common/retry.h"
 #include "common/strings.h"
 #include "core/fetch_registry.h"
 #include "core/task.h"
@@ -26,58 +26,22 @@ namespace mrs {
 namespace {
 std::atomic<bool> g_process_drain{false};
 
-/// Parse a spill run into its single frame WITHOUT verifying the payload
-/// checksum.  Serving is a pass-through: the fetching peer's
-/// DecodeBucketFrames is the integrity check, so a run corrupted on disk
-/// surfaces client-side as kDataLoss (retry, then bad_url lineage
-/// recovery) exactly like a truncated network transfer — not as an
-/// unattributable serve-time error.
-Result<BucketFrame> ReadRunFrameRaw(const SpillRun& run) {
-  MRS_ASSIGN_OR_RETURN(std::string raw, ReadSpillRunBytes(run));
-  if (!StartsWith(raw, kBucketFramesFormat)) {
-    return DataLossError("spill run " + run.path + " missing mrsk1 magic");
-  }
-  ByteReader r(std::string_view(raw).substr(kBucketFramesFormat.size()));
-  MRS_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
-  if (count != 1) {
-    return DataLossError("spill run " + run.path + " holds " +
-                         std::to_string(count) + " frames, want 1");
-  }
-  BucketFrame f;
-  MRS_ASSIGN_OR_RETURN(f.id, r.GetLengthPrefixed());
-  MRS_ASSIGN_OR_RETURN(f.checksum, r.GetLengthPrefixed());
-  MRS_ASSIGN_OR_RETURN(f.data, r.GetLengthPrefixed());
-  return f;
-}
-
-/// Assemble the served frames for a run-backed bucket: one frame per run,
-/// relabelled "<key>#run<i>" so batched fetchers can regroup frames per
-/// bucket.  Relabelling is safe because the per-frame checksum covers only
-/// the data, never the id.
-Result<std::vector<BucketFrame>> RunBackedFrames(
-    const std::string& key, const std::vector<SpillRun>& runs) {
-  std::vector<BucketFrame> frames;
-  frames.reserve(runs.size());
-  for (size_t i = 0; i < runs.size(); ++i) {
-    MRS_ASSIGN_OR_RETURN(BucketFrame f, ReadRunFrameRaw(runs[i]));
-    f.id = key + "#run" + std::to_string(i);
-    frames.push_back(std::move(f));
-  }
-  return frames;
-}
+/// Backoff for control-channel calls (signin/get_task/task_done/...).
+constexpr RetryPolicy kRpcRetry{.max_attempts = 4,
+                                .initial_backoff_seconds = 0.05,
+                                .max_backoff_seconds = 0.5};
+/// Log at kWarning once this many consecutive pings have failed.
+constexpr int kPingFailureLogThreshold = 3;
 
 /// Re-checksum frames for a peer that predates XXH64: FNV-1a, but only
 /// over data that still matches its stored value.  A corrupt frame keeps
 /// its stored value, which the old peer cannot match, so it sees kDataLoss
 /// as a new peer would.
-std::string Fnv1aIfIntact(std::string_view data, std::string checksum) {
-  return ChecksumMatches(data, checksum) ? Fnv1aChecksum(data)
-                                         : std::move(checksum);
-}
-
 void UseFnv1a(std::vector<BucketFrame>& frames) {
   for (BucketFrame& f : frames) {
-    f.checksum = Fnv1aIfIntact(f.data, std::move(f.checksum));
+    if (ChecksumMatches(f.data, f.checksum)) {
+      f.checksum = Fnv1aChecksum(f.data);
+    }
   }
 }
 }  // namespace
@@ -103,23 +67,7 @@ Result<std::map<std::string, std::string>> FetchBucketBatch(
   }
   MRS_ASSIGN_OR_RETURN(std::vector<BucketFrame> frames,
                        DecodeBucketFrames(resp.body));
-  // Plain buckets arrive one frame each; a run-backed bucket arrives as
-  // several "<id>#run<i>" frames, re-encoded here into one frame-set body
-  // per bucket (run order preserved) that DecodeBucketBody reassembles.
-  std::map<std::string, std::string> bodies;
-  std::map<std::string, std::vector<BucketFrame>> run_backed;
-  for (BucketFrame& f : frames) {
-    size_t mark = f.id.rfind("#run");
-    if (mark == std::string::npos) {
-      bodies[f.id] = std::move(f.data);
-    } else {
-      run_backed[f.id.substr(0, mark)].push_back(std::move(f));
-    }
-  }
-  for (auto& [bucket_id, bucket_frames] : run_backed) {
-    bodies[bucket_id] = EncodeBucketFrames(bucket_frames);
-  }
-  return bodies;
+  return BucketBodies(std::move(frames));
 }
 
 void RequestProcessDrain() {
@@ -157,7 +105,7 @@ Status Slave::Init() {
                               return ServeData(req);
                             })));
   rpc_ = std::make_unique<XmlRpcClient>(config_.master);
-  rpc_->set_retry_policy(config_.rpc_retry);
+  rpc_->set_retry_policy(kRpcRetry);
 
   // The reported ping interval lets the master size this slave's death
   // threshold (missed_ping_limit * interval) instead of assuming one
@@ -213,7 +161,6 @@ void Slave::PingLoop() {
   // consecutive failures the loop logs once per threshold and backs off
   // exponentially so a dead master is not hammered.
   const double base_interval = std::max(0.1, config_.ping_interval);
-  const int log_threshold = std::max(1, config_.ping_failure_log_threshold);
   double interval = base_interval;
   int consecutive_failures = 0;
   while (!StoppedWithin(interval)) {
@@ -226,7 +173,7 @@ void Slave::PingLoop() {
       continue;
     }
     ++consecutive_failures;
-    if (consecutive_failures % log_threshold == 0) {
+    if (consecutive_failures % kPingFailureLogThreshold == 0) {
       MRS_LOG(kWarning, "slave")
           << "slave " << id_ << ": " << consecutive_failures
           << " consecutive pings failed (last: " << r.status().ToString()
@@ -263,94 +210,85 @@ void Slave::Crash() {
   if (data_server_) data_server_->Shutdown();
 }
 
-HttpResponse Slave::ServeData(const HttpRequest& req) {
-  auto [path, query] = SplitTarget(req.target);
-  // Without the token the request comes from a peer that predates XXH64.
-  const bool xxh64 = FormatAccepted(req.headers, kXxh64ChecksumFormat);
-  if (path == "/bucket" && FormatAccepted(req.headers, kBucketFramesFormat)) {
-    return ServeBucketBatch(query, xxh64);
+Status Slave::StoredBucket::MoveFramesTo(const std::string& id,
+                                         std::vector<BucketFrame>* frames) {
+  if (runs.empty()) {
+    frames->push_back(BucketFrame{id, std::move(checksum), std::move(data)});
+    return Status::Ok();
   }
-  if (!StartsWith(path, "/bucket/")) return HttpResponse::NotFound();
-  std::string key(path.substr(8));
-  StoredBucket stored;
-  {
-    MutexLock lock(store_mutex_);
-    auto it = store_.find(key);
-    if (it == store_.end()) return HttpResponse::NotFound("no bucket " + key);
-    stored = it->second;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    MRS_ASSIGN_OR_RETURN(BucketFrame frame, ReadSpillRunFrame(runs[i]));
+    frame.id = RunFrameId(id, i);
+    frames->push_back(std::move(frame));
   }
-  if (stored.runs.empty()) {
-    std::string checksum =
-        xxh64 ? std::move(stored.checksum)
-              : Fnv1aIfIntact(stored.data, std::move(stored.checksum));
-    HttpResponse resp =
-        HttpResponse::Ok(std::move(stored.data), "application/octet-stream");
-    resp.headers.Set(std::string(kMrsChecksumHeader), std::move(checksum));
-    return resp;
-  }
-  // Run-backed: stream the spill runs into an mrsk1 frame set (file IO
-  // happens outside the store lock).  As in a batched transfer, there is
-  // no whole-body checksum: each frame's checksum guards its data, and the
-  // client's exact framing turns truncation into kDataLoss.
-  static obs::Counter* served =
-      obs::Registry::Instance().GetCounter("mrs.spill.buckets_served");
-  Result<std::vector<BucketFrame>> frames = RunBackedFrames(key, stored.runs);
-  if (!frames.ok()) {
-    return HttpResponse::NotFound("bucket " + key + " spill data unreadable: " +
-                                  frames.status().ToString());
-  }
-  served->Inc();
-  if (!xxh64) UseFnv1a(*frames);
-  return HttpResponse::Ok(EncodeBucketFrames(*frames),
-                          "application/octet-stream");
+  return Status::Ok();
 }
 
-HttpResponse Slave::ServeBucketBatch(std::string_view query, bool xxh64) {
-  std::string_view ids;
-  for (std::string_view kv : SplitChar(query, '&')) {
-    if (StartsWith(kv, "ids=")) ids = kv.substr(4);
+HttpResponse Slave::ServeData(const HttpRequest& req) {
+  auto [path, query] = SplitTarget(req.target);
+  // One id from "/bucket/<id>", or many from "/bucket?ids=a,b,c" when the
+  // peer accepts mrsk1 frames.
+  const bool batch =
+      path == "/bucket" && FormatAccepted(req.headers, kBucketFramesFormat);
+  std::vector<std::string> ids;
+  if (batch) {
+    std::string_view list;
+    for (std::string_view kv : SplitChar(query, '&')) {
+      if (StartsWith(kv, "ids=")) list = kv.substr(4);
+    }
+    if (list.empty()) return HttpResponse::BadRequest("missing ids= parameter");
+    for (std::string_view id : SplitChar(list, ',')) ids.emplace_back(id);
+  } else if (StartsWith(path, "/bucket/")) {
+    ids.emplace_back(path.substr(8));
+  } else {
+    return HttpResponse::NotFound();
   }
-  if (ids.empty()) return HttpResponse::BadRequest("missing ids= parameter");
-  // Copy store entries under the lock; spill runs are read outside it.
-  struct Entry {
-    std::string id;
-    StoredBucket stored;
-  };
-  std::vector<Entry> entries;
+  // Copy the store entries under the lock; spill runs are read outside it.
+  // Any missing id fails the whole request with 404, so a batched fetcher
+  // falls back to per-bucket GETs, which pin down which bucket is gone.
+  std::vector<StoredBucket> stored;
+  stored.reserve(ids.size());
   {
     MutexLock lock(store_mutex_);
-    for (std::string_view id : SplitChar(ids, ',')) {
-      auto it = store_.find(std::string(id));
-      if (it == store_.end()) {
-        return HttpResponse::NotFound("no bucket " + std::string(id));
-      }
-      entries.push_back(Entry{std::string(id), it->second});
+    for (const std::string& id : ids) {
+      auto it = store_.find(id);
+      if (it == store_.end()) return HttpResponse::NotFound("no bucket " + id);
+      stored.push_back(it->second);
     }
   }
+  static obs::Counter* served =
+      obs::Registry::Instance().GetCounter("mrs.spill.buckets_served");
+  const bool plain = !batch && stored.front().runs.empty();
   std::vector<BucketFrame> frames;
-  for (Entry& e : entries) {
-    if (e.stored.runs.empty()) {
-      frames.push_back(BucketFrame{std::move(e.id),
-                                   std::move(e.stored.checksum),
-                                   std::move(e.stored.data)});
-      continue;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Status read = stored[i].MoveFramesTo(ids[i], &frames);
+    if (!read.ok()) {
+      return HttpResponse::NotFound(
+          batch ? "no bucket " + ids[i] + " (spill data unreadable)"
+                : "bucket " + ids[i] +
+                      " spill data unreadable: " + read.ToString());
     }
-    // Run-backed bucket: one "<id>#run<i>" frame per spill run.  An
-    // unreadable run fails the whole batch, and the per-bucket fallback
-    // pins down which bucket is gone.
-    Result<std::vector<BucketFrame>> run_frames =
-        RunBackedFrames(e.id, e.stored.runs);
-    if (!run_frames.ok()) {
-      return HttpResponse::NotFound("no bucket " + e.id +
-                                    " (spill data unreadable)");
-    }
-    for (BucketFrame& f : *run_frames) frames.push_back(std::move(f));
+    if (!stored[i].runs.empty()) served->Inc();
   }
-  if (!xxh64) UseFnv1a(frames);
+  // Without the token the request comes from a peer that predates XXH64.
+  if (!FormatAccepted(req.headers, kXxh64ChecksumFormat)) UseFnv1a(frames);
+  if (plain) {
+    // A lone in-memory bucket goes as its record stream: HttpFetch checks
+    // X-Mrs-Checksum, and retries on a mismatch, before decoding it.
+    HttpResponse resp = HttpResponse::Ok(std::move(frames.front().data),
+                                         "application/octet-stream");
+    resp.headers.Set(std::string(kMrsChecksumHeader),
+                     std::move(frames.front().checksum));
+    return resp;
+  }
+  // A frame set has no whole-body checksum: each frame's checksum guards
+  // its data, and the reader's exact framing turns a cut into kDataLoss.
   HttpResponse resp = HttpResponse::Ok(EncodeBucketFrames(frames),
                                        "application/octet-stream");
-  resp.headers.Set(std::string(kMrsFormatHeader),
-                   std::string(kBucketFramesFormat));
+  if (batch) {
+    resp.headers.Set(std::string(kMrsFormatHeader),
+                     std::string(kBucketFramesFormat));
+  }
   return resp;
 }
 
@@ -472,7 +410,7 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
     Result<std::string> got = [&]() -> Result<std::string> {
       auto hit = prefetched.find(url);
       if (hit != prefetched.end()) return hit->second;
-      return CallWithRetry(config_.fetch_retry, &CountFetchRetry,
+      return CallWithRetry(DefaultFetchRetryPolicy(), &CountFetchRetry,
                            [&]() -> Result<std::string> {
                              if (DrawFetchFault()) {
                                return UnavailableError(
@@ -540,9 +478,11 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
   MRS_ASSIGN_OR_RETURN(std::vector<Bucket> row,
                        CatchUserExceptions("task", compute_row));
 
-  // Publish each bucket and collect URLs.  A spilled bucket is published
-  // run-backed: hosting it costs no memory, and the data plane streams the
-  // runs at serve time.
+  // Publish each bucket as one StoredBucket: its payload and checksum, or,
+  // once it spilled, its runs (hosting those costs no memory).  The store
+  // serves it over HTTP; the shared filesystem (the fault-tolerant path of
+  // paper §IV-B) holds it as the frames it would be served as, so every
+  // frame there carries its checksum too.
   XmlRpcArray urls;
   std::vector<SpillRun> published_runs;
   for (int p = 0; p < assignment.num_splits; ++p) {
@@ -550,62 +490,37 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
     std::string rel = std::to_string(assignment.dataset_id) + "/" +
                       std::to_string(assignment.source) + "/" +
                       std::to_string(p);
+    StoredBucket stored;
     if (b.spilled()) {
-      for (const SpillRun& run : b.spill_runs()) {
+      stored.runs = b.spill_runs();
+      for (const SpillRun& run : stored.runs) {
         span.add_bytes_out(static_cast<int64_t>(run.bytes));
         published_runs.push_back(run);
       }
-      if (config_.shared_dir.empty()) {
-        {
-          MutexLock lock(store_mutex_);
-          StoredBucket& stored = store_[rel];
-          stored.data.clear();
-          stored.checksum.clear();
-          stored.runs = b.spill_runs();
-        }
-        urls.push_back(XmlRpcValue("http://" +
-                                   data_server_->addr().ToString() +
-                                   "/bucket/" + rel));
-      } else {
-        // Shared filesystem: assemble the runs into one mrsk1 frame-set
-        // file (DecodeBucketBody on the read side reassembles it).
-        MRS_ASSIGN_OR_RETURN(std::vector<BucketFrame> frames,
-                             RunBackedFrames(rel, b.spill_runs()));
-        std::string dir = JoinPath(config_.shared_dir,
-                                   std::to_string(assignment.dataset_id));
-        MRS_RETURN_IF_ERROR(EnsureDir(dir));
-        std::string file = JoinPath(
-            dir, "source_" + std::to_string(assignment.source) + "_split_" +
-                     std::to_string(p) + ".mrsb");
-        MRS_RETURN_IF_ERROR(WriteFileAtomic(file, EncodeBucketFrames(frames)));
-        urls.push_back(XmlRpcValue("file://" + file));
-      }
-      continue;
+    } else {
+      stored.data = EncodeBinaryRecords(b.records());
+      stored.checksum = ContentChecksum(stored.data);
+      span.add_bytes_out(static_cast<int64_t>(stored.data.size()));
     }
-    std::string encoded = EncodeBinaryRecords(b.records());
-    span.add_bytes_out(static_cast<int64_t>(encoded.size()));
     if (config_.shared_dir.empty()) {
-      // Direct communication: keep in memory, serve over HTTP.
       {
         MutexLock lock(store_mutex_);
-        StoredBucket& stored = store_[rel];
-        stored.runs.clear();
-        stored.checksum = ContentChecksum(encoded);
-        stored.data = std::move(encoded);
+        store_[rel] = std::move(stored);
       }
       urls.push_back(XmlRpcValue("http://" + data_server_->addr().ToString() +
                                  "/bucket/" + rel));
-    } else {
-      // Fault-tolerant path: write to the shared filesystem.
-      std::string dir = JoinPath(config_.shared_dir,
-                                 std::to_string(assignment.dataset_id));
-      MRS_RETURN_IF_ERROR(EnsureDir(dir));
-      std::string file = JoinPath(
-          dir, "source_" + std::to_string(assignment.source) + "_split_" +
-                   std::to_string(p) + ".mrsb");
-      MRS_RETURN_IF_ERROR(WriteFileAtomic(file, encoded));
-      urls.push_back(XmlRpcValue("file://" + file));
+      continue;
     }
+    std::vector<BucketFrame> frames;
+    MRS_RETURN_IF_ERROR(stored.MoveFramesTo(rel, &frames));
+    std::string dir = JoinPath(config_.shared_dir,
+                               std::to_string(assignment.dataset_id));
+    MRS_RETURN_IF_ERROR(EnsureDir(dir));
+    std::string file = JoinPath(
+        dir, "source_" + std::to_string(assignment.source) + "_split_" +
+                 std::to_string(p) + ".mrsb");
+    MRS_RETURN_IF_ERROR(WriteFileAtomic(file, EncodeBucketFrames(frames)));
+    urls.push_back(XmlRpcValue("file://" + file));
   }
 
   // The spill file stays while the store serves runs from it; otherwise

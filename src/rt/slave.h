@@ -2,10 +2,11 @@
 //
 // A slave needs "only the master's address and port to connect" (paper
 // §IV).  It runs a built-in HTTP server from which the master and peer
-// slaves fetch bucket data directly (the direct-communication path — data
-// lives in memory and is served without ever touching disk), signs in,
-// long-polls for assignments, executes them through the shared task
-// executor, and reports the bucket URLs back.
+// slaves fetch bucket data directly (the direct-communication path: a
+// bucket is served from memory, or, once it spilled under the memory
+// budget, from its spill runs on local disk), signs in, long-polls for
+// assignments, executes them through the shared task executor, and
+// reports the bucket URLs back.
 //
 // Because Mrs targets shared clusters where "a job scheduler may kill
 // processes at any time", the slave also embeds a chaos-injection harness
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/retry.h"
 #include "common/thread_annotations.h"
 #include "common/status.h"
 #include "core/program.h"
@@ -74,20 +74,10 @@ class Slave {
     std::string host = "127.0.0.1";
     uint16_t data_port = 0;  // HTTP data server; 0 = ephemeral
     double ping_interval = 2.0;
-    /// If non-empty, persist buckets to this (shared) directory and
-    /// publish file:// URLs instead of serving from memory — the
+    /// If non-empty, write each bucket to this (shared) directory as its
+    /// mrsk1 frame set and publish file:// URLs instead of serving it — the
     /// fault-tolerant path of paper §IV-B.
     std::string shared_dir;
-    /// Backoff for control-channel calls (signin/get_task/task_done/...).
-    RetryPolicy rpc_retry{.max_attempts = 4,
-                          .initial_backoff_seconds = 0.05,
-                          .max_backoff_seconds = 0.5};
-    /// Backoff for bucket-input fetches.
-    RetryPolicy fetch_retry{.max_attempts = 4,
-                            .initial_backoff_seconds = 0.02,
-                            .max_backoff_seconds = 0.25};
-    /// Log at kWarning once this many consecutive pings have failed.
-    int ping_failure_log_threshold = 3;
     FaultPlan faults;
   };
 
@@ -131,13 +121,13 @@ class Slave {
  private:
   Slave(MapReduce* program, Config config);
   Status Init();
-  HttpResponse ServeData(const HttpRequest& req);
-  /// "GET /bucket?ids=a,b,c" — every requested bucket in one mrsk1 frame
-  /// set (negotiated via X-Mrs-Format).  Any missing id fails the whole
-  /// batch with 404; the fetching peer falls back to per-bucket GETs,
-  /// which pin down exactly which bucket is gone.  Frame checksums are
+  /// "GET /bucket/<id>", and "GET /bucket?ids=a,b,c" when the request
+  /// accepts mrsk1 (X-Mrs-Format): every requested bucket's frames in one
+  /// frame set.  A lone in-memory bucket on the single route goes as its
+  /// plain record stream with X-Mrs-Checksum.  A missing id, or a spill run
+  /// that cannot be read, fails the whole request with 404.  Checksums are
   /// FNV-1a unless the request named `xxh64`.
-  HttpResponse ServeBucketBatch(std::string_view query, bool xxh64);
+  HttpResponse ServeData(const HttpRequest& req);
   Status ExecuteAssignment(const TaskAssignment& assignment);
   /// Best-effort batched pull of this assignment's http inputs, one round
   /// trip per peer that hosts two or more of them.  Successfully fetched
@@ -178,19 +168,25 @@ class Slave {
   std::atomic<uint64_t> chaos_rng_{0};
   double ping_drop_until_ = 0;  // ping thread only; 0 = window not started
 
-  // In-memory bucket store: "<dataset>/<source>/<split>" -> payload with
-  // its ContentChecksum, computed once at publish time and attached to
-  // every response so fetchers can detect truncation (recomputed as
-  // FNV-1a for a peer that predates XXH64).  A bucket that spilled
-  // under the memory budget is stored run-backed instead: `runs` names its
-  // on-disk spill runs (byte ranges of the producing attempt's spill file)
-  // and `data` stays empty — the runs are streamed into an mrsk1 frame set
-  // at serve time, so hosting the bucket costs no memory.
+  // One published bucket: its encoded payload with the ContentChecksum
+  // computed once at publish time, or, for a bucket that spilled under the
+  // memory budget, its spill runs (byte ranges of the producing attempt's
+  // spill file) with `data` empty, so hosting it costs no memory.  Either
+  // way it leaves as frames: served from the store, or written to the
+  // shared directory at publish time.
   struct StoredBucket {
     std::string data;
     std::string checksum;
     std::vector<SpillRun> runs;
+
+    /// Append this bucket's frames under bucket id `id`: the payload as one
+    /// frame (moved out), or one RunFrameId(id, i) frame per run, read
+    /// unverified so that damage on disk is kDataLoss where it is decoded.
+    /// A run that cannot be read is an error.
+    Status MoveFramesTo(const std::string& id,
+                        std::vector<BucketFrame>* frames);
   };
+  // The bucket store: "<dataset>/<source>/<split>" -> its bucket.
   Mutex store_mutex_;
   std::map<std::string, StoredBucket> store_ MRS_GUARDED_BY(store_mutex_);
   // Spill files of the attempts whose runs the store serves, by dataset;
@@ -208,10 +204,11 @@ class Slave {
 
 /// One batched bucket transfer: GET <base>/bucket?ids=<ids> on a pooled
 /// connection, accepting mrsk1 frames with XXH64 checksums.  Returns each
-/// bucket's body by id; a run-backed bucket's "<id>#run<i>" frames come
-/// back re-encoded as one frame set, which DecodeBucketBody reassembles.
-/// An error status, an answer not in mrsk1, or a frame that fails its
-/// checksum is an error (the caller falls back to per-bucket GETs).
+/// bucket's body by id, as BucketBodies (fs/bucket.h) regroups the frames:
+/// a run-backed bucket's body is its run frames as one frame set, which
+/// DecodeBucketBody reassembles.  An error status, an answer not in mrsk1,
+/// or a frame that fails its checksum is an error (the caller falls back
+/// to per-bucket GETs).
 Result<std::map<std::string, std::string>> FetchBucketBatch(
     const std::string& base, const std::vector<std::string>& bucket_ids);
 

@@ -4,7 +4,10 @@
 // shared-filesystem data path.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <thread>
 
 #include "common/clock.h"
 #include "common/strings.h"
@@ -370,6 +373,36 @@ TEST(Master, WritesPortFileEquivalent) {
   EXPECT_EQ((*master)->num_slaves(), 1);
   (*master)->Shutdown();
   RemoveTree(*dir);
+}
+
+TEST(Master, ShutdownServesASlaveThatPollsLateItsQuit) {
+  // A handshake: a signed-in slave that polls only after Shutdown has begun
+  // (it was running a task, or retrying a fetch) still gets "quit", not a
+  // closed port, and Shutdown returns once it has, inside its grace.
+  auto master = Master::Start(Master::Config{});
+  ASSERT_TRUE(master.ok());
+  SquareSum program;
+  ASSERT_TRUE(program.Init(Options()).ok());
+  Slave::Config slave_config;
+  slave_config.master = (*master)->addr();
+  auto slave = Slave::Start(&program, slave_config);
+  ASSERT_TRUE(slave.ok()) << slave.status().ToString();
+
+  Stopwatch watch;
+  std::atomic<bool> returned{false};
+  std::thread stopper([&] {
+    (*master)->Shutdown();
+    returned.store(true);
+  });
+  while ((*master)->StatusJson().find("\"shutdown\":true") ==
+         std::string::npos) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(returned.load());
+  Status run = (*slave)->Run();  // its first poll
+  stopper.join();
+  EXPECT_TRUE(run.ok()) << run.ToString();
+  EXPECT_LT(watch.ElapsedSeconds(), 1.0);
 }
 
 TEST(Master, WaitForSlavesTimesOut) {

@@ -24,6 +24,11 @@
 // none left after Discard or a failed attempt.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -452,6 +457,42 @@ TEST(SpillDirs, NamedDirectoryGetsADisabledContextWithoutABudget) {
   EXPECT_TRUE(StartsWith(path, JoinPath(*parent, "test_ds7_t3_"))) << path;
   EXPECT_FALSE(FileExists(path));
   spill.reset();
+  RemoveTree(*parent);
+}
+
+TEST(SpillDirs, SweepRemovesOnlyTheRootsOfExitedProcesses) {
+  auto parent = MakeTempDir("mrs_sweep_");
+  ASSERT_TRUE(parent.ok());
+  // A root whose owner has exited without its atexit, as a SIGKILLed slave
+  // does: a child takes the root's lock as SpillRoot does, and exits.
+  const std::string dead = JoinPath(*parent, "mrs_spill_dead");
+  ASSERT_TRUE(EnsureDir(dead).ok());
+  ASSERT_TRUE(AppendToFile(JoinPath(dead, "slave1_ds2_t0_0.mrsk"), "r").ok());
+  const std::string lock = JoinPath(dead, ".lock");
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const int fd = ::open(lock.c_str(), O_RDWR | O_CREAT, 0600);
+    ::_exit(fd >= 0 && ::flock(fd, LOCK_EX) == 0 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  // A directory with no lock file: a root of an older build, or a test's.
+  const std::string unlocked = JoinPath(*parent, "mrs_spill_parent_x");
+  ASSERT_TRUE(EnsureDir(unlocked).ok());
+  ASSERT_TRUE(AppendToFile(JoinPath(unlocked, "a.mrsk"), "r").ok());
+
+  RemoveDeadSpillRoots(*parent);
+  EXPECT_FALSE(FileExists(dead));
+  EXPECT_TRUE(FileExists(JoinPath(unlocked, "a.mrsk")));
+
+  // The caller's own root is live: it holds the lock until it exits.
+  auto own = SpillRoot();
+  ASSERT_TRUE(own.ok()) << own.status().ToString();
+  EXPECT_TRUE(FileExists(JoinPath(*own, ".lock")));
+  RemoveDeadSpillRoots(DirName(*own));
+  EXPECT_TRUE(IsDirectory(*own));
   RemoveTree(*parent);
 }
 
@@ -1473,21 +1514,24 @@ TEST(SpillBudget, ReduceWhoseMergeFailsReleasesItsCharge) {
 // Every value it receives must pass that check, and a current peer must
 // receive XXH64 values only.  Run-backed buckets come from a 1-byte budget.
 
-/// One map job's output hosted by the single slave of a cluster.
+/// One map job's output hosted by the single slave of a cluster, or, with
+/// a shared directory, written there.
 struct HostedMapOutput {
   std::unique_ptr<ClusterLauncher> cluster;
   SmallSort program;
   std::unique_ptr<Job> job;
-  std::string base;              // "http://host:port" of the slave
-  std::vector<std::string> ids;  // "<dataset>/<source>/<split>"
+  std::string base;               // "http://host:port" of the slave
+  std::vector<std::string> ids;   // "<dataset>/<source>/<split>"
+  std::vector<std::string> urls;  // every bucket's
 };
 
 Result<std::unique_ptr<HostedMapOutput>> HostMapOutput(
-    int64_t budget, int spill_corrupt = 0) {
+    int64_t budget, int spill_corrupt = 0, std::string shared_dir = "") {
   auto hosted = std::make_unique<HostedMapOutput>();
   MRS_RETURN_IF_ERROR(hosted->program.Init(Options()));
   ClusterLauncher::Config config;
   config.num_slaves = 1;
+  config.slave.shared_dir = std::move(shared_dir);
   config.fault_plans.resize(1);
   config.fault_plans[0].spill_corrupt = spill_corrupt;
   MRS_ASSIGN_OR_RETURN(
@@ -1510,6 +1554,8 @@ Result<std::unique_ptr<HostedMapOutput>> HostMapOutput(
   for (int source = 0; source < mapped->num_sources(); ++source) {
     for (int split = 0; split < mapped->num_splits(); ++split) {
       const std::string& url = mapped->bucket(source, split).url();
+      hosted->urls.push_back(url);
+      if (!config.slave.shared_dir.empty()) continue;
       size_t at = url.find("/bucket/");
       if (at == std::string::npos) return InternalError("not served: " + url);
       hosted->base = url.substr(0, at);
@@ -1519,9 +1565,9 @@ Result<std::unique_ptr<HostedMapOutput>> HostMapOutput(
   return hosted;
 }
 
-/// GET `target` the way a peer of either version asks for it.
-Result<HttpResponse> GetAs(bool new_peer, const std::string& base,
-                           const std::string& target) {
+/// Ask for `target` the way a peer of either version does.
+Result<HttpResponse> RequestAs(bool new_peer, const std::string& base,
+                               const std::string& target) {
   MRS_ASSIGN_OR_RETURN(HttpUrl url, HttpUrl::Parse(base));
   HttpClient client(SocketAddr{url.host, url.port});
   HttpRequest req;
@@ -1534,7 +1580,13 @@ Result<HttpResponse> GetAs(bool new_peer, const std::string& base,
   if (!tokens.empty()) {
     req.headers.Set(std::string(kMrsFormatHeader), Join(tokens, ", "));
   }
-  MRS_ASSIGN_OR_RETURN(HttpResponse resp, client.Do(std::move(req)));
+  return client.Do(std::move(req));
+}
+
+/// GET `target` the way a peer of either version asks for it.
+Result<HttpResponse> GetAs(bool new_peer, const std::string& base,
+                           const std::string& target) {
+  MRS_ASSIGN_OR_RETURN(HttpResponse resp, RequestAs(new_peer, base, target));
   if (resp.status_code != 200) {
     return InternalError("GET " + target + " -> " +
                          std::to_string(resp.status_code));
@@ -1703,6 +1755,100 @@ TEST(MixedVersionDataPlane, AnyFlipOrCutOfARunBackedBodyIsDataLoss) {
   }
   // Only frame ids ("<dataset>/<source>/<split>#run<i>") may absorb a flip.
   EXPECT_LT(decoded_same, static_cast<int>(body.size() / 4));
+}
+
+TEST(RunBackedServing, UnreadableRunIsNotFoundOnBothRoutes) {
+  auto root = SpillRoot();
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  const std::set<std::string> before = SpillFilesUnder(*root);
+  auto hosted = HostMapOutput(/*budget=*/1);
+  ASSERT_TRUE(hosted.ok()) << hosted.status().ToString();
+  const HostedMapOutput& h = **hosted;
+  // Remove the spill file of the map task that wrote the first bucket.
+  const std::string id = h.ids.front();
+  const std::vector<std::string_view> part = SplitChar(id, '/');
+  const std::string attempt = "_ds" + std::string(part[0]) + "_t" +
+                              std::string(part[1]) + "_";
+  int removed = 0;
+  for (const std::string& file : SpillFilesUnder(*root)) {
+    if (before.count(file) > 0 || file.find(attempt) == std::string::npos) {
+      continue;
+    }
+    ASSERT_EQ(std::remove(file.c_str()), 0) << file;
+    ++removed;
+  }
+  ASSERT_EQ(removed, 1);
+  for (const std::string& target :
+       {"/bucket/" + id, "/bucket?ids=" + Join(h.ids, ",")}) {
+    SCOPED_TRACE(target);
+    auto resp = RequestAs(/*new_peer=*/true, h.base, target);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->status_code, 404);
+    EXPECT_NE(resp->body.find("bucket " + id), std::string::npos)
+        << resp->body;
+  }
+  EXPECT_FALSE(FetchBucketBatch(h.base, h.ids).ok());
+  // The peer is alive but the data is gone: lineage repairs it, never a
+  // retry.
+  EXPECT_EQ(HttpFetch(h.base + "/bucket/" + id).status().code(),
+            StatusCode::kNotFound);
+  // The other map tasks' buckets still serve.
+  EXPECT_TRUE(GetAs(/*new_peer=*/true, h.base, "/bucket/" + h.ids.back()).ok());
+  (*hosted)->cluster->Shutdown();
+}
+
+TEST(SharedDirectory, EveryPayloadFlipOfABucketFileIsDataLoss) {
+  // In memory (budget 0) or run-backed (budget 1), a bucket published to
+  // the shared directory is a frame set, so a checksum guards every
+  // payload byte a reader decodes.
+  for (int64_t budget : {0, 1}) {
+    SCOPED_TRACE(budget == 0 ? "in-memory buckets" : "run-backed buckets");
+    auto dir = MakeTempDir("mrs_shared_flip_");
+    ASSERT_TRUE(dir.ok());
+    auto hosted = HostMapOutput(budget, /*spill_corrupt=*/0, *dir);
+    ASSERT_TRUE(hosted.ok()) << hosted.status().ToString();
+    (*hosted)->cluster->Shutdown();
+    const std::string url = (*hosted)->urls.front();
+    ASSERT_TRUE(StartsWith(url, "file://")) << url;
+    const std::string path = url.substr(7);
+    auto body = ReadFileToString(path);
+    ASSERT_TRUE(body.ok()) << body.status().ToString();
+    Bucket clean;
+    clean.set_url(url);
+    ASSERT_TRUE(clean.EnsureLoaded(LocalFetch).ok());
+    ASSERT_FALSE(clean.records().empty());
+    // The payload bytes: each frame's data, or all of a bare record
+    // stream, which carries no checksum.
+    std::vector<std::string_view> payloads = {*body};
+    if (auto frames = DecodeBucketFrameViews(*body); frames.ok()) {
+      payloads.clear();
+      for (const BucketFrameView& f : *frames) payloads.push_back(f.data);
+    }
+    // Each flipped file is read as LocalFetch would read it, from memory.
+    std::string flipped = *body;
+    auto read_flipped = [&flipped](const std::string&) -> Result<std::string> {
+      return flipped;
+    };
+    int flips = 0;
+    int not_data_loss = 0;
+    for (std::string_view payload : payloads) {
+      const size_t begin = static_cast<size_t>(payload.data() - body->data());
+      for (size_t at = begin; at < begin + payload.size(); ++at) {
+        flipped[at] = static_cast<char>(flipped[at] ^ 0x20);
+        Bucket bucket;
+        bucket.set_url(url);
+        if (bucket.EnsureLoaded(read_flipped).code() !=
+            StatusCode::kDataLoss) {
+          ++not_data_loss;
+        }
+        flipped[at] = (*body)[at];
+        ++flips;
+      }
+    }
+    EXPECT_GT(flips, 0);
+    EXPECT_EQ(not_data_loss, 0) << "of " << flips << " payload flips";
+    RemoveTree(*dir);
+  }
 }
 
 /// A data server as peers that predate XXH64 run it: bare-hex FNV-1a in
