@@ -4,6 +4,8 @@
 // MiniPy engines — the per-sample rates behind Fig 3.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench/bench_util.h"
 #include "halton/halton.h"
 #include "halton/pi_kernel.h"
@@ -119,6 +121,28 @@ BENCHMARK_CAPTURE(BM_SortGroup, int_value, Shape::kIntValue)
     ->Arg(1000)
     ->Arg(100000);
 BENCHMARK_CAPTURE(BM_SortGroup, distsort, Shape::kDistSort)->Arg(100000);
+
+// The record sort behind every sorted spill, staged fetch and combine, at
+// the sizes of one DistSort spill in a budgeted parallel (250 records) and
+// serial (2,500) run, beside the std::stable_sort it replaced.
+void BM_SortRecords(benchmark::State& state, bool stable_sort) {
+  const auto records =
+      MakeRecords(static_cast<int>(state.range(0)), Shape::kDistSort);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto copy = records;
+    state.ResumeTiming();
+    if (stable_sort) {
+      std::stable_sort(copy.begin(), copy.end(), KeyValueLess);
+    } else {
+      SortRecords(copy);
+    }
+    benchmark::DoNotOptimize(copy.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_SortRecords, index, false)->Arg(250)->Arg(2500);
+BENCHMARK_CAPTURE(BM_SortRecords, stable_sort, true)->Arg(250)->Arg(2500);
 
 // The task funnel (core/task.h), unbudgeted: a word count over 200k
 // records with 20k distinct string keys, partitioned 4 ways.

@@ -5,7 +5,6 @@
 #include <set>
 #include <string>
 
-#include "common/log.h"
 #include "fs/spill.h"
 
 namespace mrs {
@@ -121,12 +120,6 @@ void DataSet::SetRow(int source, std::vector<Bucket> row,
     }
     budget.Release(bytes - still_held);
     bytes = still_held;
-    // The runs are written and readable; a failed fsync only weakens their
-    // crash durability, and a run damaged by it fails its checksum on read.
-    if (Status synced = spill_file->Sync(); !synced.ok()) {
-      MRS_LOG(kWarning, "dataset") << "row spill of dataset " << id_
-                                   << ": " << synced.ToString();
-    }
   }
   row_charged_[source] = bytes;
   task_states_[source] = TaskState::kComplete;

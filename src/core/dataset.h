@@ -106,8 +106,8 @@ class DataSet {
   /// charged per row, and when the charge pushes usage over the limit the
   /// row's in-memory buckets are appended to `spill_file` — the spill file
   /// of the attempt that computed the row — as runs (sorted for map
-  /// output, FIFO otherwise), which is then fsynced.  Without a file they
-  /// stay in memory, over budget but correct.
+  /// output, FIFO otherwise).  Without a file they stay in memory, over
+  /// budget but correct.
   void SetRow(int source, std::vector<Bucket> row,
               SpillFile* spill_file = nullptr);
 

@@ -1,7 +1,7 @@
 #include "core/job.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "common/log.h"
 #include "core/task.h"
@@ -195,7 +195,7 @@ Status MapReduce::Run(Job& job) {
   // Collect returns records in bucket order, which depends on the number
   // of splits; sort so the written output is identical across
   // implementations *and* across parallelism settings.
-  std::sort(records.begin(), records.end(), KeyValueLess);
+  SortRecords(records);
 
   std::string text = EncodeTextRecords(records);
   std::string output = opts().GetString("mrs-output");

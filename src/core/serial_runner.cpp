@@ -129,7 +129,6 @@ Status SerialRunner::ExecuteTask(DataSet& dataset, int source) {
           *spill->file, spill->id_prefix + "/" + std::to_string(b.split()),
           /*sorted=*/false));
     }
-    MRS_RETURN_IF_ERROR(spill->file->Sync());
   }
   dataset.SetRow(source, std::move(row), spill ? spill->file.get() : nullptr);
   if (spill) spill->file->Keep();

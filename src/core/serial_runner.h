@@ -14,7 +14,7 @@
 // (paper §IV-A).  Two things change:
 //  * every completed task row is kept on disk, not in memory: its buckets
 //    become FIFO runs (emit order kept) of the task attempt's spill file
-//    in the tmpdir, one file and one fsync per attempt, so all downstream
+//    in the tmpdir, one unsynced file per attempt, so all downstream
 //    reads exercise the on-disk path — the data movement a fault-tolerant
 //    distributed run performs, minus the network;
 //  * tasks within a dataset execute in a seeded shuffled order (derived

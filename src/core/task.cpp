@@ -1,7 +1,7 @@
 #include "core/task.h"
 
-#include <algorithm>
 #include <atomic>
+#include <iterator>
 
 #include "common/log.h"
 #include "common/strings.h"
@@ -134,7 +134,7 @@ class RowWriter {
 
   /// The finished row: a spilled bucket's tail joins its runs (the bucket
   /// leaves the task runs-only), an in-memory bucket is combined and marked
-  /// loaded, and the attempt's spill file is fsynced once.
+  /// loaded.
   Result<std::vector<Bucket>> Finish() {
     MRS_RETURN_IF_ERROR(status_);
     Release();
@@ -146,7 +146,6 @@ class RowWriter {
       MRS_RETURN_IF_ERROR(Combine(b));
       b.MarkLoaded();
     }
-    if (spill_ != nullptr) MRS_RETURN_IF_ERROR(spill_->file->Sync());
     return std::move(row_);
   }
 
@@ -268,7 +267,7 @@ Result<std::vector<std::unique_ptr<MergeSource>>> ColumnMergeSources(
       MRS_RETURN_IF_ERROR(b.EnsureLoaded(fetch));
       if (!by_url || spill == nullptr || !spill->enabled()) {
         std::vector<KeyValue> recs = std::move(*b.mutable_records());
-        std::stable_sort(recs.begin(), recs.end(), KeyValueLess);
+        SortRecords(recs);
         sources.push_back(std::make_unique<VectorSource>(std::move(recs)));
         continue;
       }
@@ -291,7 +290,7 @@ Result<std::vector<std::unique_ptr<MergeSource>>> ColumnMergeSources(
 
 Result<std::vector<KeyValue>> SortGroupApply(std::vector<KeyValue> records,
                                              const ReduceFn& fn) {
-  std::stable_sort(records.begin(), records.end(), KeyValueLess);
+  SortRecords(records);
   std::vector<KeyValue> out;
   MRS_RETURN_IF_ERROR(ForEachKeyGroup(
       SortedVectorStream(records),
@@ -337,7 +336,7 @@ Result<std::vector<Bucket>> RunReduceTask(MapReduce& program,
                                           int num_splits,
                                           std::vector<KeyValue> input,
                                           const TaskSpillContext* spill) {
-  std::stable_sort(input.begin(), input.end(), KeyValueLess);
+  SortRecords(input);
   return ReduceSortedStream(program, options, num_splits, spill,
                             "RunReduceTask", SortedVectorStream(input));
 }

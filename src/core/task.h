@@ -11,11 +11,11 @@
 // one column-to-row body and the only code that chooses how a reduce
 // reads its column; Bucket::EnsureLoaded is the only code that turns a
 // URL into records.  Below it, every map and reduce writes its output
-// through one row writer (partition, budget charge, spill, tail flush, one
-// fsync) and every reduce groups its sorted input with one loop.  Each
-// runner takes its spill context from NewTaskSpillContext and guards user
-// code with CatchUserExceptions, so budgets and failures behave the same
-// on every runner.
+// through one row writer (partition, budget charge, spill, tail flush),
+// every record sort is SortRecords (ser/record.h) and every reduce groups
+// its sorted input with one loop.  Each runner takes its spill context
+// from NewTaskSpillContext and guards user code with CatchUserExceptions,
+// so budgets and failures behave the same on every runner.
 #pragma once
 
 #include <exception>
@@ -122,18 +122,19 @@ Result<std::vector<TaskInputPart>> BuildTaskInputParts(DataSet& input_ds,
 /// With an enabled spill context, the buckets are appended to the
 /// attempt's spill file as sorted runs whenever the memory budget asks
 /// (combined first when a combiner is configured — the classic
-/// combine-before-spill policy), a spilled bucket is returned as runs
-/// only, and the file is fsynced once before the row is returned.
+/// combine-before-spill policy), and a spilled bucket is returned as runs
+/// only.
 Result<std::vector<Bucket>> RunMapTask(MapReduce& program,
                                        const DataSetOptions& options,
                                        int num_splits,
                                        const std::vector<KeyValue>& input,
                                        const TaskSpillContext* spill = nullptr);
 
-/// Run one reduce task in memory: sorts input by key (ties by value),
-/// calls the named reduce function once per key, and partitions emitted
-/// values by key into `num_splits` buckets.  With an enabled spill
-/// context, the output spills as FIFO runs, as in ReduceMergedSources.
+/// Run one reduce task in memory: sorts input by key (ties by value) with
+/// SortRecords, calls the named reduce function once per key, and
+/// partitions emitted values by key into `num_splits` buckets.  With an
+/// enabled spill context, the output spills as FIFO runs, as in
+/// ReduceMergedSources.
 Result<std::vector<Bucket>> RunReduceTask(
     MapReduce& program, const DataSetOptions& options, int num_splits,
     std::vector<KeyValue> input, const TaskSpillContext* spill = nullptr);

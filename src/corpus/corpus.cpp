@@ -89,7 +89,9 @@ Result<std::vector<std::string>> GenerateCorpusWithCounts(
       content += ((w + 1) % spec.words_per_line == 0) ? '\n' : ' ';
     }
     if (!content.empty() && content.back() != '\n') content += '\n';
-    MRS_RETURN_IF_ERROR(WriteFileAtomic(path, content));
+    // Not synced: a crash can leave this file short, and rerunning the
+    // generator rewrites the same bytes.
+    MRS_RETURN_IF_ERROR(WriteFile(path, content));
     files.push_back(std::move(path));
   }
 

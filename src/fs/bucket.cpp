@@ -1,6 +1,5 @@
 #include "fs/bucket.h"
 
-#include <algorithm>
 #include <iterator>
 #include <memory>
 
@@ -15,7 +14,7 @@ namespace mrs {
 Status Bucket::SpillToRun(SpillFile& file, const std::string& id,
                           bool sorted) {
   if (sorted) {
-    std::stable_sort(records_.begin(), records_.end(), KeyValueLess);
+    SortRecords(records_);
   }
   MRS_ASSIGN_OR_RETURN(SpillRun run, file.Append(id, records_, sorted));
   spill_runs_.push_back(std::move(run));
@@ -47,7 +46,7 @@ Status Bucket::LoadFromRuns() {
       sources.push_back(files.Source(run));
     }
     if (!tail.empty()) {
-      std::stable_sort(tail.begin(), tail.end(), KeyValueLess);
+      SortRecords(tail);
       sources.push_back(std::make_unique<VectorSource>(std::move(tail)));
     }
     MRS_ASSIGN_OR_RETURN(records_, MergeToVector(std::move(sources)));

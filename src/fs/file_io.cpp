@@ -126,9 +126,13 @@ Status WriteFileAtomic(const std::string& path, std::string_view content) {
   return Status::Ok();
 }
 
-Status AppendToFile(const std::string& path, std::string_view content) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return IoErrorFromErrno("open(append) " + path, errno);
+namespace {
+/// Open `path` for writing with `mode` (O_APPEND or O_TRUNC), creating it,
+/// and write all of `content`.
+Status WriteOpened(const std::string& path, int mode,
+                   std::string_view content) {
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC | mode, 0644);
+  if (fd < 0) return IoErrorFromErrno("open " + path, errno);
   size_t written = 0;
   while (written < content.size()) {
     ssize_t n = ::write(fd, content.data() + written, content.size() - written);
@@ -136,12 +140,21 @@ Status AppendToFile(const std::string& path, std::string_view content) {
       if (errno == EINTR) continue;
       int err = errno;
       ::close(fd);
-      return IoErrorFromErrno("append " + path, err);
+      return IoErrorFromErrno("write " + path, err);
     }
     written += static_cast<size_t>(n);
   }
   ::close(fd);
   return Status::Ok();
+}
+}  // namespace
+
+Status WriteFile(const std::string& path, std::string_view content) {
+  return WriteOpened(path, O_TRUNC, content);
+}
+
+Status AppendToFile(const std::string& path, std::string_view content) {
+  return WriteOpened(path, O_APPEND, content);
 }
 
 Status EnsureDir(const std::string& path) {

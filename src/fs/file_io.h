@@ -27,12 +27,18 @@ Result<size_t> ReadAt(int fd, uint64_t offset, char* buf, size_t n);
 /// Durable: the temp fd is fsync'ed before the rename (so a crash after
 /// rename can never expose an empty or partial "atomically written" file)
 /// and the parent directory is fsync'ed after it (so the rename itself
-/// survives a crash).  For files that must survive a crash whole: job
-/// output, the port file, shared-filesystem buckets, mock-parallel rows
-/// and the generated corpus.  Spill runs do not come through here: each
-/// task attempt appends them to one SpillFile (fs/spill.h) and fsyncs it
-/// once.
+/// survives a crash).  For files that must survive a crash whole and that
+/// nothing could rebuild: job output, the port file, hadoopsim's output
+/// and shared-filesystem buckets.  Scratch data goes through WriteFile or
+/// a SpillFile (fs/spill.h) instead, unsynced: spill runs and mock-parallel
+/// rows are read only by the process that wrote them, and a lost one is
+/// rebuilt through lineage; a generated corpus file is rewritten byte for
+/// byte by rerunning its deterministic generator.
 Status WriteFileAtomic(const std::string& path, std::string_view content);
+
+/// Truncate `path` (creating it) and write `content`: no temp file and no
+/// fsync, so a crash can leave it short.
+Status WriteFile(const std::string& path, std::string_view content);
 
 /// Test hook simulating crash-window failures inside WriteFileAtomic.
 /// Called before each durability step with "fsync", "rename", or

@@ -5,9 +5,9 @@
 // pulls one record at a time from a LoserTreeMerger over one source per
 // run (streamed from disk) plus one per still-in-memory bucket.  Ties are
 // broken by source index, so merging per-source sorted streams reproduces
-// byte-for-byte the sequence std::stable_sort would produce over their
-// concatenation in source order — the property the equivalence matrix
-// pins down.
+// byte-for-byte the sequence SortRecords (ser/record.h), like a
+// std::stable_sort, would produce over their concatenation in source
+// order — the property the equivalence matrix pins down.
 #pragma once
 
 #include <cstdint>

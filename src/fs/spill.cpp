@@ -204,7 +204,6 @@ Result<SpillRun> SpillFile::AppendEncoded(const std::string& id,
   // the partial frame.
   MRS_RETURN_IF_ERROR(WriteAt(fd_, path_, size_, head));
   MRS_RETURN_IF_ERROR(WriteAt(fd_, path_, size_ + head.size(), payload));
-  dirty_ = true;
 
   SpillRun run;
   run.path = path_;
@@ -227,25 +226,6 @@ Result<SpillRun> SpillFile::AppendEncoded(const std::string& id,
   return run;
 }
 
-Status SpillFile::Sync() {
-  if (fd_ < 0) return Status::Ok();
-  if (dirty_) {
-    if (::fsync(fd_) < 0) return IoErrorFromErrno("fsync " + path_, errno);
-    dirty_ = false;
-  }
-  if (!dir_synced_) {
-    // The file's directory entry lives in the parent directory's data.
-    std::string dir = DirName(path_);
-    int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (dfd < 0) return IoErrorFromErrno("open dir " + dir, errno);
-    int err = ::fsync(dfd) < 0 ? errno : 0;
-    ::close(dfd);
-    if (err != 0) return IoErrorFromErrno("fsync dir " + dir, err);
-    dir_synced_ = true;
-  }
-  return Status::Ok();
-}
-
 Result<SpillRun> WriteEncodedSpillRun(const std::string& path,
                                       const std::string& id,
                                       std::string_view payload,
@@ -254,7 +234,6 @@ Result<SpillRun> WriteEncodedSpillRun(const std::string& path,
   SpillFile file(path);
   MRS_ASSIGN_OR_RETURN(SpillRun run,
                        file.AppendEncoded(id, payload, checksum, sorted));
-  MRS_RETURN_IF_ERROR(file.Sync());
   file.Keep();
   return run;
 }
@@ -264,7 +243,6 @@ Result<SpillRun> WriteSpillRun(const std::string& path, const std::string& id,
                                bool sorted) {
   SpillFile file(path);
   MRS_ASSIGN_OR_RETURN(SpillRun run, file.Append(id, records, sorted));
-  MRS_RETURN_IF_ERROR(file.Sync());
   file.Keep();
   return run;
 }

@@ -15,8 +15,8 @@
 //     by (key, value).  Shuffle data has multiset semantics — the reduce
 //     consumer sort-groups it anyway, and records that compare equal are
 //     byte-identical — so a k-way merge of sorted runs reproduces exactly
-//     what a stable_sort of the in-memory concatenation would have fed the
-//     reduce.  This is what makes spilling invisible to the
+//     what SortRecords (ser/record.h) of the in-memory concatenation would
+//     have fed the reduce.  This is what makes spilling invisible to the
 //     all-implementations-identical invariant.
 //   - FIFO runs (reduce/final output): record order is preserved exactly
 //     (runs concatenate in write order), because Job::Collect reads final
@@ -120,10 +120,10 @@ struct SpillRun {
 
 /// An append-only file of spill runs.  The file is created by the first
 /// Append, so a task attempt that never spills leaves nothing on disk;
-/// creations count in mrs.spill.files_created.  Sync makes every run
-/// appended so far durable (an fsync of the file, and of its directory the
-/// first time), so an attempt pays one create and one fsync pair however
-/// many runs it writes before it syncs.  The destructor deletes the file
+/// creations count in mrs.spill.files_created.  Nothing is fsynced: only
+/// the process that writes the file reads it (its slave serves the runs),
+/// so no reader outlives the crash an fsync guards against, and a lost
+/// run is rebuilt through lineage.  The destructor deletes the file
 /// unless Keep() was called: a failed attempt's spill data goes at once,
 /// while a kept file belongs to whoever holds its runs (a dataset row, a
 /// slave's bucket store), which deletes it on discard.  One writer at a
@@ -151,9 +151,6 @@ class SpillFile {
                                  std::string_view payload,
                                  const std::string& checksum, bool sorted);
 
-  /// fsync what was appended since the last Sync (no-op when nothing was).
-  Status Sync();
-
   /// Hand the file to the holder of its runs instead of deleting it.
   void Keep() { keep_ = true; }
 
@@ -161,14 +158,11 @@ class SpillFile {
   std::string path_;
   int fd_ = -1;
   uint64_t size_ = 0;
-  bool dirty_ = false;       // bytes appended since the last fsync
-  bool dir_synced_ = false;  // the directory entry is durable
   bool keep_ = false;
 };
 
-/// Write `records` to `path` as a one-run spill file and fsync it.  If
-/// `sorted`, the caller guarantees the records are already ordered by
-/// (key, value).
+/// Write `records` to `path` as a one-run spill file.  If `sorted`, the
+/// caller guarantees the records are already ordered by (key, value).
 Result<SpillRun> WriteSpillRun(const std::string& path, const std::string& id,
                                const std::vector<KeyValue>& records,
                                bool sorted);

@@ -297,9 +297,11 @@ void Slave::HandleDiscards(const XmlRpcValue& response) {
   if (!discard.ok()) return;
   auto arr = (*discard)->AsArray();
   if (!arr.ok()) return;
-  // Spill files of a discarded dataset are deleted after the store erase
+  // Files of a discarded dataset are deleted after the store erase
   // (outside the lock): once its entries are gone nothing can serve them,
-  // and reclaiming the disk keeps long jobs bounded.
+  // and reclaiming the disk keeps long jobs bounded.  Its shared directory
+  // goes last; remove() of a directory is rmdir(), which succeeds only for
+  // the last slave to empty it.
   std::vector<std::string> dead_files;
   {
     MutexLock lock(store_mutex_);
@@ -311,11 +313,15 @@ void Slave::HandleDiscards(const XmlRpcValue& response) {
         if (!StartsWith(it->first, prefix)) break;
         it = store_.erase(it);
       }
-      if (auto files = spill_files_.find(static_cast<int>(*id));
-          files != spill_files_.end()) {
+      if (auto files = dataset_files_.find(static_cast<int>(*id));
+          files != dataset_files_.end()) {
         dead_files.insert(dead_files.end(), files->second.begin(),
                           files->second.end());
-        spill_files_.erase(files);
+        dataset_files_.erase(files);
+        if (!config_.shared_dir.empty()) {
+          dead_files.push_back(
+              JoinPath(config_.shared_dir, std::to_string(*id)));
+        }
       }
       // Resident input caches of the discarded dataset go with it.
       std::string rprefix = "r/" + std::to_string(*id) + "/";
@@ -520,6 +526,10 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
         dir, "source_" + std::to_string(assignment.source) + "_split_" +
                  std::to_string(p) + ".mrsb");
     MRS_RETURN_IF_ERROR(WriteFileAtomic(file, EncodeBucketFrames(frames)));
+    {
+      MutexLock lock(store_mutex_);
+      dataset_files_[assignment.dataset_id].push_back(file);
+    }
     urls.push_back(XmlRpcValue("file://" + file));
   }
 
@@ -529,7 +539,7 @@ Status Slave::ExecuteAssignment(const TaskAssignment& assignment) {
   if (spill && config_.shared_dir.empty() && !published_runs.empty()) {
     spill->file->Keep();
     MutexLock lock(store_mutex_);
-    spill_files_[assignment.dataset_id].push_back(spill->file->path());
+    dataset_files_[assignment.dataset_id].push_back(spill->file->path());
   }
 
   // Chaos: flip one byte inside a just-published run.  The fetching peer's

@@ -189,10 +189,11 @@ class Slave {
   // The bucket store: "<dataset>/<source>/<split>" -> its bucket.
   Mutex store_mutex_;
   std::map<std::string, StoredBucket> store_ MRS_GUARDED_BY(store_mutex_);
-  // Spill files of the attempts whose runs the store serves, by dataset;
-  // deleted with the dataset's piggybacked discard.  A re-executed task's
-  // older file stays listed, so it goes with the dataset too.
-  std::map<int, std::vector<std::string>> spill_files_
+  // Files this slave wrote for a dataset, deleted with the dataset's
+  // piggybacked discard: the spill files of the attempts whose runs the
+  // store serves, or the bucket files written to the shared directory.  A
+  // re-executed task's older file stays listed, so it goes too.
+  std::map<int, std::vector<std::string>> dataset_files_
       MRS_GUARDED_BY(store_mutex_);
   // Resident input cache (iterative/BSP mode): "r/<dataset>/<split>" ->
   // the loaded input column of a pinned dataset's split, kept across

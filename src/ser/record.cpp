@@ -8,6 +8,36 @@
 
 namespace mrs {
 
+void SortRecords(std::vector<KeyValue>& records) {
+  const size_t n = records.size();
+  if (n < 2) return;
+  struct Entry {
+    uint64_t prefix;
+    size_t pos;
+  };
+  std::vector<Entry> index(n);
+  for (size_t i = 0; i < n; ++i) index[i] = {records[i].key.OrderPrefix(), i};
+  std::stable_sort(index.begin(), index.end(),
+                   [&records](const Entry& a, const Entry& b) {
+                     if (a.prefix != b.prefix) return a.prefix < b.prefix;
+                     return KeyValueLess(records[a.pos], records[b.pos]);
+                   });
+  // Slot k takes the record at index[k].pos.  Walk each cycle of that
+  // permutation once, marking a settled slot by pointing it at itself.
+  for (size_t k = 0; k < n; ++k) {
+    if (index[k].pos == k) continue;
+    KeyValue held = std::move(records[k]);
+    size_t slot = k;
+    for (size_t from = index[k].pos; from != k; from = index[slot].pos) {
+      records[slot] = std::move(records[from]);
+      index[slot].pos = slot;
+      slot = from;
+    }
+    records[slot] = std::move(held);
+    index[slot].pos = slot;
+  }
+}
+
 std::string EncodeBinaryRecords(const std::vector<KeyValue>& records) {
   Bytes buf;
   buf.reserve(records.size() * 16 + kBinaryRecordMagic.size());

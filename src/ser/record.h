@@ -19,6 +19,14 @@ namespace mrs {
 /// Magic prefix identifying a binary record stream.
 inline constexpr std::string_view kBinaryRecordMagic = "mrsb1\n";
 
+/// The framework's one record sort: orders `records` exactly as
+/// a std::stable_sort by KeyValueLess does.  It stable-sorts an index of
+/// (key OrderPrefix, position) entries, asks KeyValueLess only when two
+/// prefixes tie, then moves each record once into place.  The index sort
+/// is a merge sort, so a key or value that breaks the order (a NaN)
+/// reorders records but never loses one.
+void SortRecords(std::vector<KeyValue>& records);
+
 /// Serialize records to the binary format (with magic header).
 std::string EncodeBinaryRecords(const std::vector<KeyValue>& records);
 

@@ -1,5 +1,6 @@
 #include "ser/value.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -138,6 +139,19 @@ int Value::Compare(const Value& other) const {
     }
   }
   return 0;
+}
+
+uint64_t Value::OrderPrefix() const {
+  uint64_t prefix = static_cast<uint64_t>(TypeRank(type_)) << 56;
+  if (SlotOf(type_) == Slot::kString) {
+    // Big-endian, so integer order is memcmp order; a shorter string pads
+    // with zeros, which never sorts after the byte a longer one has there.
+    const size_t n = std::min<size_t>(str_.size(), 7);
+    for (size_t i = 0; i < n; ++i) {
+      prefix |= uint64_t{static_cast<unsigned char>(str_[i])} << (48 - 8 * i);
+    }
+  }
+  return prefix;
 }
 
 uint64_t Value::Hash() const {

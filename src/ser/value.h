@@ -111,6 +111,12 @@ class Value {
   bool operator>(const Value& other) const { return Compare(other) > 0; }
   bool operator>=(const Value& other) const { return Compare(other) >= 0; }
 
+  /// An 8-byte summary of Compare's order: a.OrderPrefix() < b.OrderPrefix()
+  /// implies a < b, and equal prefixes decide nothing.  The top byte is the
+  /// type rank Compare orders types by; strings and bytes add their first
+  /// 7 bytes, zero-padded, and numbers and lists carry the rank alone.
+  uint64_t OrderPrefix() const;
+
   /// Deterministic 64-bit hash (FNV over the serialized form); equal values
   /// hash equally, including int/double values that compare equal.
   uint64_t Hash() const;

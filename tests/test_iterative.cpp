@@ -314,15 +314,12 @@ TEST(Iterative, KMeansSurvivesSlaveCrashMidSuperstep) {
   ASSERT_TRUE(reference.Init(Options()).ok());
   ASSERT_TRUE(reference.Bypass().ok());
 
-  ClusterLauncher::Config config = FastFailoverConfig(4);
-  config.fault_plans.resize(4);
-  // Crash after the second completed task: past round 1's map wave, so
-  // the dying slave owns both a resident chunk and shuffle output that
-  // later supersteps still need.
+  // Slave 0 starts alone, so it is certain to complete the two tasks it
+  // crashes after: it dies owning resident chunks and shuffle output that
+  // later supersteps still need.  The three survivors join only then.
+  ClusterLauncher::Config config = FastFailoverConfig(1);
+  config.fault_plans.resize(1);
   config.fault_plans[0].crash_after_n_tasks = 2;
-  for (int i = 1; i < 4; ++i) {
-    config.fault_plans[static_cast<size_t>(i)].fail_fetch_probability = 0.1;
-  }
   auto cluster =
       ClusterLauncher::Start(IterativeKMeansFactory, Options(), config);
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
@@ -331,7 +328,19 @@ TEST(Iterative, KMeansSurvivesSlaveCrashMidSuperstep) {
   program.config = SmallKMeans(true);
   ASSERT_TRUE(program.Init(Options()).ok());
   Job job(&program, std::make_unique<MasterRunner>(&(*cluster)->master()));
-  Status status = program.Run(job);
+  Status status;
+  std::thread runner([&] { status = program.Run(job); });
+  for (int i = 0; i < 400 && (*cluster)->slave(0).tasks_executed() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_GE((*cluster)->slave(0).tasks_executed(), 2);
+  Slave::FaultPlan flaky;
+  flaky.fail_fetch_probability = 0.1;
+  for (int i = 1; i < 4; ++i) {
+    Result<int> joined = (*cluster)->AddSlave(&flaky);
+    EXPECT_TRUE(joined.ok()) << joined.status().ToString();
+  }
+  runner.join();
   ASSERT_TRUE(status.ok()) << status.ToString();
 
   EXPECT_EQ(program.trajectory, reference.trajectory);

@@ -267,6 +267,62 @@ TEST(MasterSlave, DiscardPropagatesToSlaves) {
   (*cluster)->Shutdown();
 }
 
+// On the shared-directory path a discarded dataset's bucket files go with
+// the discard the slaves collect on their next poll, and its directory
+// with the last of them; a dataset that was not discarded keeps its files.
+TEST(MasterSlave, DiscardDeletesSharedDirectoryBuckets) {
+  Result<std::string> shared = MakeTempDir("mrs_shared_discard_");
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  IterativeProgram program;
+  ASSERT_TRUE(program.Init(Options()).ok());
+  ClusterLauncher::Config config;
+  config.num_slaves = 2;
+  config.slave.shared_dir = *shared;
+  auto cluster = ClusterLauncher::Start(
+      [] { return std::unique_ptr<MapReduce>(new IterativeProgram()); },
+      Options(), config);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  Job job(&program, std::make_unique<MasterRunner>(&(*cluster)->master()));
+  job.set_default_parallelism(4);
+
+  std::vector<KeyValue> input;
+  for (int64_t i = 0; i < 16; ++i) input.push_back({Value(i), Value(i)});
+  DataSetPtr data = job.LocalData(std::move(input), 4);
+  DataSetPtr discarded = job.MapData(data);
+  DataSetPtr kept = job.MapData(data);
+  ASSERT_TRUE(job.Wait(discarded).ok());
+  ASSERT_TRUE(job.Wait(kept).ok());
+  const std::string discarded_dir =
+      JoinPath(*shared, std::to_string(discarded->id()));
+  const std::string kept_dir = JoinPath(*shared, std::to_string(kept->id()));
+  Result<std::vector<std::string>> discarded_files =
+      ListFilesRecursive(discarded_dir);
+  ASSERT_TRUE(discarded_files.ok()) << discarded_files.status().ToString();
+  ASSERT_EQ(discarded_files->size(), 16u);  // 4 sources x 4 splits
+  Result<std::vector<std::string>> kept_files = ListFilesRecursive(kept_dir);
+  ASSERT_TRUE(kept_files.ok()) << kept_files.status().ToString();
+  ASSERT_EQ(kept_files->size(), 16u);
+
+  job.Discard(discarded);
+  // Discards ride on get_task replies, and an idle slave polls at least
+  // every quarter second.
+  for (int i = 0; i < 400 && IsDirectory(discarded_dir); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_FALSE(IsDirectory(discarded_dir));
+  for (const std::string& file : *discarded_files) {
+    EXPECT_FALSE(FileExists(file)) << file;
+  }
+  Result<std::vector<std::string>> still_kept = ListFilesRecursive(kept_dir);
+  ASSERT_TRUE(still_kept.ok()) << still_kept.status().ToString();
+  EXPECT_EQ(*still_kept, *kept_files);
+  Result<std::vector<KeyValue>> out = job.Collect(kept);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->size(), 16u);
+  (*cluster)->Shutdown();
+  RemoveTree(*shared);
+}
+
 // /status names each dataset by its kind.  The master registers a job's
 // source datasets too, and they must not read as reduces.
 TEST(MasterSlave, StatusNamesEveryDatasetKind) {

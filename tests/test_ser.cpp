@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "rng/mt19937_64.h"
 #include "ser/record.h"
@@ -519,6 +520,96 @@ TEST(Records, RandomizedBinaryRoundTrips) {
     auto out = DecodeBinaryRecords(EncodeBinaryRecords(records));
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(*out, records);
+  }
+}
+
+// ---- SortRecords against std::stable_sort ----------------------------------
+
+/// A value from a small pool, so keys tie often and stability shows: None,
+/// ints and doubles that compare equal (1 and 1.0, -0.0 and 0.0), strings
+/// and bytes holding NUL and 0xFF or sharing a 7-byte prefix, and lists.
+Value TieProneValue(MT19937_64& rng, int depth) {
+  static const char* kStrings[] = {"", "a", "ab", "prefix7", "prefix7a",
+                                   "prefix7b"};
+  switch (rng.NextBounded(depth > 0 ? 7 : 6)) {
+    case 0: return Value();
+    case 1: return Value(static_cast<int64_t>(rng.NextBounded(5)) - 2);
+    case 2: {
+      static const double kDoubles[] = {-0.0, 0.0, 1.0, 0.5, -2.0, 1e300};
+      return Value(kDoubles[rng.NextBounded(6)]);
+    }
+    case 3:
+    case 4: {
+      // A pool string, then up to 3 bytes from {NUL, 'a', 0xFF}.
+      std::string text = kStrings[rng.NextBounded(6)];
+      for (uint64_t i = rng.NextBounded(4); i > 0; --i) {
+        const char kTail[] = {'\0', 'a', '\xff'};
+        text += kTail[rng.NextBounded(3)];
+      }
+      return rng.NextBounded(2) == 0 ? Value(std::move(text))
+                                     : Value::BytesValue(std::move(text));
+    }
+    case 5: return Value(int64_t{1});
+    default: {
+      ValueList list;
+      for (uint64_t i = rng.NextBounded(3); i > 0; --i) {
+        list.push_back(TieProneValue(rng, depth - 1));
+      }
+      return Value(std::move(list));
+    }
+  }
+}
+
+TEST(SortRecords, MatchesStableSortByteForByte) {
+  MT19937_64 rng(31);
+  for (int vector = 0; vector < 3000; ++vector) {
+    std::vector<KeyValue> records;
+    for (uint64_t i = rng.NextBounded(301); i > 0; --i) {
+      records.push_back({TieProneValue(rng, 1), TieProneValue(rng, 1)});
+    }
+    std::vector<KeyValue> expected = records;
+    std::stable_sort(expected.begin(), expected.end(), KeyValueLess);
+    SortRecords(records);
+    // Bytes, not operator==, which calls 1 and 1.0 equal.
+    ASSERT_EQ(EncodeBinaryRecords(records), EncodeBinaryRecords(expected))
+        << "vector " << vector;
+  }
+}
+
+TEST(SortRecords, PrefixOrderNeverContradictsCompare) {
+  MT19937_64 rng(32);
+  std::vector<Value> values = SampleValues();
+  for (int i = 0; i < 400; ++i) values.push_back(TieProneValue(rng, 1));
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      if (a.OrderPrefix() < b.OrderPrefix()) {
+        ASSERT_LT(a.Compare(b), 0) << a.Repr() << " vs " << b.Repr();
+      }
+    }
+  }
+}
+
+TEST(SortRecords, NanKeysAndValuesKeepEveryRecord) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  MT19937_64 rng(33);
+  for (int vector = 0; vector < 200; ++vector) {
+    std::vector<KeyValue> records;
+    for (uint64_t i = rng.NextBounded(301); i > 0; --i) {
+      Value key = rng.NextBounded(4) == 0 ? Value(nan) : TieProneValue(rng, 1);
+      Value value =
+          rng.NextBounded(4) == 0 ? Value(nan) : TieProneValue(rng, 1);
+      records.push_back({std::move(key), std::move(value)});
+    }
+    // A permutation: the same record encodings, as a multiset.
+    auto encodings = [](const std::vector<KeyValue>& rs) {
+      std::vector<std::string> out;
+      for (const KeyValue& kv : rs) out.push_back(EncodeBinaryRecords({kv}));
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    std::vector<std::string> before = encodings(records);
+    SortRecords(records);
+    ASSERT_EQ(encodings(records), before) << "vector " << vector;
   }
 }
 

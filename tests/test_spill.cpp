@@ -355,7 +355,6 @@ TEST_F(SpillDirTest, SpillFileAppendsRunsAsConsecutiveByteRanges) {
   std::vector<SpillRun> runs;
   {
     SpillFile file(path);
-    ASSERT_TRUE(file.Sync().ok());
     EXPECT_FALSE(FileExists(path)) << "created before its first run";
     for (size_t i = 0; i < parts.size(); ++i) {
       auto run = file.Append("a/" + std::to_string(i), parts[i],
@@ -363,7 +362,6 @@ TEST_F(SpillDirTest, SpillFileAppendsRunsAsConsecutiveByteRanges) {
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       runs.push_back(*run);
     }
-    ASSERT_TRUE(file.Sync().ok());
     file.Keep();
   }
   EXPECT_EQ(created->value() - created_before, 1);
@@ -686,10 +684,7 @@ class SpillFaultTest : public SpillDirTest {
       EXPECT_TRUE(run.ok()) << run.status().ToString();
       runs.push_back(*run);
     }
-    if (shared) {
-      EXPECT_TRUE(file->Sync().ok());
-      file->Keep();
-    }
+    if (shared) file->Keep();
     return runs;
   }
 
@@ -1039,7 +1034,6 @@ TEST_F(SpillDirTest, ReduceMergeHoldsOneDescriptorPerSpillFile) {
                                   /*sorted=*/true)
                       .ok());
     }
-    ASSERT_TRUE(file.Sync().ok());
     file.Keep();  // the writer's descriptor closes with `file`
     column.push_back(std::move(bucket));
   }
